@@ -18,6 +18,8 @@ struct Stream {
     last_line: u64,
     direction: i64,
     confirmed: bool,
+    /// Observation count at the stream's last touch (LRU stamp).
+    touched: u64,
 }
 
 /// Prefetch statistics.
@@ -52,6 +54,8 @@ impl Collect for PrefetchStats {
 pub struct StreamPrefetcher {
     degree: usize,
     streams: HashMap<u64, Stream>,
+    /// Observations so far; stamps each touch for LRU replacement.
+    clock: u64,
     stats: PrefetchStats,
 }
 
@@ -71,6 +75,7 @@ impl StreamPrefetcher {
         Self {
             degree,
             streams: HashMap::new(),
+            clock: 0,
             stats: PrefetchStats::default(),
         }
     }
@@ -79,6 +84,7 @@ impl StreamPrefetcher {
     /// prefetch.
     pub fn observe(&mut self, line: u64) -> Vec<u64> {
         let region = line / Self::REGION_LINES;
+        self.clock += 1;
         let next = match self.streams.get_mut(&region) {
             Some(stream) => {
                 let step = line as i64 - stream.last_line as i64;
@@ -91,12 +97,15 @@ impl StreamPrefetcher {
                     stream.confirmed = false;
                 }
                 stream.last_line = line;
+                stream.touched = self.clock;
                 stream.confirmed.then_some((line, stream.direction))
             }
             None => {
                 if self.streams.len() >= Self::MAX_STREAMS {
-                    // Drop an arbitrary old stream (cheap pseudo-LRU).
-                    if let Some(&old) = self.streams.keys().next() {
+                    // Drop the least recently touched stream. Stamps are
+                    // unique, so the victim does not depend on the map's
+                    // (per-process random) iteration order.
+                    if let Some((&old, _)) = self.streams.iter().min_by_key(|(_, s)| s.touched) {
                         self.streams.remove(&old);
                     }
                 }
@@ -106,6 +115,7 @@ impl StreamPrefetcher {
                         last_line: line,
                         direction: 0, // unknown until a second touch
                         confirmed: false,
+                        touched: self.clock,
                     },
                 );
                 None
@@ -182,5 +192,20 @@ mod tests {
             pf.observe(region * 64);
         }
         assert!(pf.streams.len() <= StreamPrefetcher::MAX_STREAMS);
+    }
+
+    #[test]
+    fn full_table_evicts_the_least_recently_touched_stream() {
+        let max = StreamPrefetcher::MAX_STREAMS as u64;
+        let mut pf = StreamPrefetcher::new(1);
+        for region in 0..max {
+            pf.observe(region * 64);
+        }
+        // Re-touch region 0 so region 1 is now the oldest.
+        pf.observe(1);
+        pf.observe(max * 64);
+        assert!(pf.streams.contains_key(&0));
+        assert!(!pf.streams.contains_key(&1));
+        assert!(pf.streams.contains_key(&max));
     }
 }

@@ -103,6 +103,30 @@ pub struct WayPredictionStats {
 }
 
 impl WayPredictionStats {
+    /// Fieldwise difference versus an earlier snapshot.
+    pub fn delta(&self, earlier: &WayPredictionStats) -> WayPredictionStats {
+        WayPredictionStats {
+            hits: self.hits - earlier.hits,
+            mispredictions: self.mispredictions - earlier.mispredictions,
+            cold: self.cold - earlier.cold,
+            alias_mispredicts: self.alias_mispredicts - earlier.alias_mispredicts,
+        }
+    }
+
+    /// Fieldwise sum into `self`.
+    pub fn add(&mut self, other: &WayPredictionStats) {
+        let WayPredictionStats {
+            hits,
+            mispredictions,
+            cold,
+            alias_mispredicts,
+        } = *other;
+        self.hits += hits;
+        self.mispredictions += mispredictions;
+        self.cold += cold;
+        self.alias_mispredicts += alias_mispredicts;
+    }
+
     /// Fraction of trained predictions that were correct.
     pub fn accuracy(&self) -> f64 {
         let total = self.hits + self.mispredictions;

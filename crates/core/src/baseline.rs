@@ -7,12 +7,14 @@ use seesaw_cache::{
 };
 use seesaw_mem::PhysAddr;
 
-use crate::{FlexibleIndex, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase};
+use crate::{
+    DesignStats, FlexibleIndex, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
+    TranslationOverlap,
+};
 
 /// A conventional L1: full-set lookups at the slow hit time. VIPT indexes
 /// with the virtual address in parallel with the TLB; PIPT must wait for
-/// the translation (the CPU model serializes TLB latency when
-/// [`BaselineL1::serializes_translation`] is true).
+/// the translation ([`TranslationOverlap::Serial`]).
 ///
 /// # Example
 /// ```
@@ -64,17 +66,6 @@ impl BaselineL1 {
     #[inline]
     fn set_of_addr(&self, addr: u64) -> usize {
         self.index.set_of_raw(addr)
-    }
-
-    /// True if the design must wait for address translation before it can
-    /// index (PIPT).
-    pub fn serializes_translation(&self) -> bool {
-        self.config.indexing == IndexPolicy::Pipt
-    }
-
-    /// Way-predictor accuracy, if one is attached.
-    pub fn way_prediction_accuracy(&self) -> Option<f64> {
-        self.waypred.as_ref().map(|wp| wp.accuracy())
     }
 
     /// Way-predictor counters, if one is attached (`l1.waypred.*`).
@@ -163,6 +154,26 @@ impl L1DataCache for BaselineL1 {
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
+
+    fn timing(&self) -> L1Timing {
+        self.timing
+    }
+
+    /// PIPT must wait for the translation before it can index.
+    fn translation(&self) -> TranslationOverlap {
+        if self.config.indexing == IndexPolicy::Pipt {
+            TranslationOverlap::Serial
+        } else {
+            TranslationOverlap::Overlapped
+        }
+    }
+
+    fn design_stats(&self) -> DesignStats {
+        DesignStats {
+            way_prediction: self.way_prediction_stats(),
+            ..DesignStats::default()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -194,7 +205,7 @@ mod tests {
         let out = l1.access(&r);
         assert_eq!(out.ways_probed, 8);
         assert_eq!(out.case, LookupCase::Conventional);
-        assert!(!l1.serializes_translation());
+        assert_eq!(l1.translation(), TranslationOverlap::Overlapped);
         let out = l1.access(&r);
         assert!(out.hit);
         assert_eq!(out.latency_cycles, 2);
@@ -204,7 +215,7 @@ mod tests {
     fn pipt_baseline_serializes_translation() {
         let cfg = CacheConfig::new(32 << 10, 4, 64, IndexPolicy::Pipt);
         let l1 = BaselineL1::new(cfg, timing(), false);
-        assert!(l1.serializes_translation());
+        assert_eq!(l1.translation(), TranslationOverlap::Serial);
     }
 
     #[test]

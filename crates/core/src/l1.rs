@@ -1,15 +1,17 @@
 //! The SEESAW L1 data cache (§IV, Fig. 4, Table I).
 
 use seesaw_cache::{
-    CacheConfig, CacheStats, IndexPolicy, MoesiState, MruWayPredictor, ResidentLine,
-    SetAssocCache, WayMask, WayPredictionStats,
+    CacheConfig, CacheStats, IndexPolicy, MoesiState, MruWayPredictor, SetAssocCache, WayMask,
+    WayPredictionStats,
 };
-use seesaw_mem::{PageSize, PageTableOp, PhysAddr, VirtAddr};
+use seesaw_mem::{PageFrame, PageSize, PageTableOp, PhysAddr, VirtAddr};
 use seesaw_trace::{Collect, MetricsRegistry};
 
+use crate::sweep::{partitioned_audit, sweep_frames};
 use crate::{
-    InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
-    PartitionDecoder, SeesawPartitioning, TftStats, TranslationFilterTable, VirtualIndex,
+    DesignStats, InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
+    PartitionDecoder, PromotionAudit, SeesawPartitioning, TftStats, TranslationFilterTable,
+    VirtualIndex,
 };
 
 /// Configuration of a SEESAW L1.
@@ -112,23 +114,17 @@ pub struct SeesawStats {
     pub swept_lines: u64,
 }
 
-impl SeesawStats {
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &SeesawStats) -> SeesawStats {
-        SeesawStats {
-            super_tft_hit_cache_hit: self.super_tft_hit_cache_hit
-                - earlier.super_tft_hit_cache_hit,
-            super_tft_hit_cache_miss: self.super_tft_hit_cache_miss
-                - earlier.super_tft_hit_cache_miss,
-            super_tft_miss: self.super_tft_miss - earlier.super_tft_miss,
-            base_page: self.base_page - earlier.base_page,
-            super_tft_miss_l1_miss: self.super_tft_miss_l1_miss
-                - earlier.super_tft_miss_l1_miss,
-            sweeps: self.sweeps - earlier.sweeps,
-            swept_lines: self.swept_lines - earlier.swept_lines,
-        }
-    }
+crate::stats::counter_arith!(SeesawStats {
+    super_tft_hit_cache_hit,
+    super_tft_hit_cache_miss,
+    super_tft_miss,
+    base_page,
+    super_tft_miss_l1_miss,
+    sweeps,
+    swept_lines,
+});
 
+impl SeesawStats {
     /// Fraction of superpage accesses the TFT failed to identify
     /// (Fig. 13's metric).
     pub fn tft_miss_fraction_of_super(&self) -> f64 {
@@ -178,10 +174,10 @@ impl Collect for SeesawStats {
 
 /// The SEESAW L1 data cache.
 ///
-/// See the crate-level example for typical use. Drive [`SeesawL1::tft_fill`]
-/// from the TLB hierarchy's superpage-fill events and
-/// [`SeesawL1::handle_op`] from page-table operations; call
-/// [`SeesawL1::context_switch`] when the core switches address spaces.
+/// See the crate-level example for typical use. Drive
+/// [`L1DataCache::tft_fill`] from the TLB hierarchy's superpage-fill
+/// events and [`L1DataCache::handle_op`] from page-table operations; call
+/// [`L1DataCache::context_switch`] when the core switches address spaces.
 ///
 /// Composed from the policy layer (the `policy` module): virtual set
 /// indexing ([`VirtualIndex`]), the precomputed Table I plan tables
@@ -191,6 +187,7 @@ impl Collect for SeesawStats {
 #[derive(Debug, Clone)]
 pub struct SeesawL1 {
     config: SeesawConfig,
+    timing: L1Timing,
     cache: SetAssocCache,
     tft: TranslationFilterTable,
     decoder: PartitionDecoder,
@@ -199,7 +196,6 @@ pub struct SeesawL1 {
     /// Precomputed branch-free plan/victim/coherence tables.
     policy: SeesawPartitioning,
     index: VirtualIndex,
-    full_mask: WayMask,
 }
 
 impl SeesawL1 {
@@ -219,82 +215,19 @@ impl SeesawL1 {
         Self {
             cache: SetAssocCache::new(config.cache),
             tft: TranslationFilterTable::new(config.tft_entries),
-            full_mask: decoder.full_mask(),
             decoder,
             waypred,
             stats: SeesawStats::default(),
             policy,
             index: VirtualIndex::new(sets, config.cache.line_bytes),
             config,
+            timing,
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &SeesawConfig {
         &self.config
-    }
-
-    /// The partition decoder.
-    pub fn decoder(&self) -> &PartitionDecoder {
-        &self.decoder
-    }
-
-    /// Trains the TFT with a superpage region (wired to the 2 MB L1 TLB's
-    /// fill events, Fig. 5 step 8).
-    pub fn tft_fill(&mut self, va: VirtAddr) {
-        self.tft.fill(va);
-    }
-
-    /// Reacts to a page-table operation: TFT invalidation on splintering
-    /// and the L1 sweep on promotion (§IV-C2). Returns the cycles the
-    /// operation stalls the core (the paper hides the sweep inside the
-    /// 150–200-cycle TLB-shootdown window, so only sweeps report cost).
-    pub fn handle_op(&mut self, op: &PageTableOp) -> u64 {
-        match op {
-            PageTableOp::Mapped(_) => 0,
-            PageTableOp::Unmapped(page) | PageTableOp::Splintered(page) => {
-                if page.size() == PageSize::Super2M {
-                    self.tft.invalidate(*page);
-                }
-                0
-            }
-            PageTableOp::Promoted { old_frames, .. } => {
-                // Evict every line belonging to the invalidated base pages.
-                let mut frame_lines: Vec<(u64, u64)> = old_frames
-                    .iter()
-                    .map(|f| {
-                        let first = f.base().raw() / self.config.cache.line_bytes;
-                        let count = f.size().bytes() / self.config.cache.line_bytes;
-                        (first, first + count)
-                    })
-                    .collect();
-                frame_lines.sort_unstable();
-                let evicted = self.cache.sweep(|ptag| {
-                    frame_lines
-                        .binary_search_by(|&(lo, hi)| {
-                            if ptag < lo {
-                                std::cmp::Ordering::Greater
-                            } else if ptag >= hi {
-                                std::cmp::Ordering::Less
-                            } else {
-                                std::cmp::Ordering::Equal
-                            }
-                        })
-                        .is_ok()
-                });
-                self.stats.sweeps += 1;
-                self.stats.swept_lines += evicted.len() as u64;
-                // "We have found 150-200 cycles ample to perform a full
-                // cache sweep" — hidden under the TLB invalidation the OS
-                // already pays for, so no *additional* stall.
-                0
-            }
-        }
-    }
-
-    /// Flushes the TFT on a context switch (no ASID tags, §IV-C3).
-    pub fn context_switch(&mut self) {
-        self.tft.flush();
     }
 
     /// TFT counters.
@@ -307,64 +240,9 @@ impl SeesawL1 {
         self.stats
     }
 
-    /// Way-predictor accuracy, if one is attached.
-    pub fn way_prediction_accuracy(&self) -> Option<f64> {
-        self.waypred.as_ref().map(|wp| wp.accuracy())
-    }
-
     /// Way-predictor counters, if one is attached (`l1.waypred.*`).
     pub fn way_prediction_stats(&self) -> Option<WayPredictionStats> {
         self.waypred.as_ref().map(|wp| wp.stats())
-    }
-
-    /// The precomputed partition-policy tables (lab/audit surface).
-    pub fn partitioning(&self) -> &SeesawPartitioning {
-        &self.policy
-    }
-
-    /// Asks the TFT whether it vouches for `va`, without counting the
-    /// probe as a demand lookup. Audit hook for the differential checker's
-    /// splinter-precision invariant (§IV-C2).
-    pub fn tft_probe(&self, va: VirtAddr) -> bool {
-        self.tft.probe(va)
-    }
-
-    /// Iterates every valid line without touching LRU or statistics.
-    /// Audit hook for the differential checker's promotion-sweep
-    /// invariant.
-    pub fn resident_lines(&self) -> impl Iterator<Item = ResidentLine> + '_ {
-        self.cache.resident_lines()
-    }
-
-    /// Counts resident lines that sit outside the partition their
-    /// physical address names. Under a partition-deterministic insertion
-    /// policy (`4way`) this must be zero, or the narrow coherence path
-    /// cannot find them (§IV-C1); under VA-partition insertion the count
-    /// is meaningless and `None` is returned.
-    pub fn audit_partition_reachability(&self) -> Option<usize> {
-        if !self.config.insertion.lines_are_partition_deterministic() {
-            return None;
-        }
-        let line_bytes = self.config.cache.line_bytes;
-        let unreachable = self
-            .cache
-            .resident_lines()
-            .filter(|line| {
-                let pa = PhysAddr::new(line.ptag * line_bytes);
-                !self
-                    .decoder
-                    .mask_of(self.decoder.partition_of_pa(pa))
-                    .contains(line.way)
-            })
-            .count();
-        Some(unreachable)
-    }
-
-    /// True if the line holding `pa` is resident, checked side-effect
-    /// free (no LRU, no coherence transition, no counters).
-    pub fn peek_pa(&self, pa: PhysAddr) -> bool {
-        let set = self.index.set_of_raw(pa.raw());
-        self.cache.peek(set, self.ptag(pa), self.full_mask).is_some()
     }
 
     fn ptag(&self, pa: PhysAddr) -> u64 {
@@ -483,6 +361,68 @@ impl L1DataCache for SeesawL1 {
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    fn timing(&self) -> L1Timing {
+        self.timing
+    }
+
+    /// One partition: the `4way` insertion policy pins every line to its
+    /// physical partition (§IV-C1).
+    fn probe_ways(&self) -> usize {
+        (self.config.cache.ways / self.config.partitions).max(1)
+    }
+
+    fn has_tft(&self) -> bool {
+        true
+    }
+
+    fn tft_fill(&mut self, va: VirtAddr) {
+        self.tft.fill(va);
+    }
+
+    fn tft_probe(&self, va: VirtAddr) -> Option<bool> {
+        Some(self.tft.probe(va))
+    }
+
+    /// TFT invalidation on splintering (and `invlpg` of a superpage) and
+    /// the L1 sweep on promotion (§IV-C2).
+    fn handle_op(&mut self, op: &PageTableOp) {
+        match op {
+            PageTableOp::Mapped(_) => {}
+            PageTableOp::Unmapped(page) | PageTableOp::Splintered(page) => {
+                if page.size() == PageSize::Super2M {
+                    self.tft.invalidate(*page);
+                }
+            }
+            PageTableOp::Promoted { old_frames, .. } => {
+                self.stats.sweeps += 1;
+                self.stats.swept_lines += sweep_frames(&mut self.cache, old_frames);
+            }
+        }
+    }
+
+    /// Flushes the TFT: it carries no ASIDs (§IV-C3).
+    fn context_switch(&mut self) {
+        self.tft.flush();
+    }
+
+    fn promotion_audit(&self, old_frames: &[PageFrame]) -> PromotionAudit {
+        partitioned_audit(
+            &self.cache,
+            &self.decoder,
+            self.config.insertion,
+            old_frames,
+        )
+    }
+
+    fn design_stats(&self) -> DesignStats {
+        DesignStats {
+            seesaw: self.stats,
+            tft: self.tft.stats(),
+            way_prediction: self.way_prediction_stats(),
+            ..DesignStats::default()
+        }
     }
 }
 

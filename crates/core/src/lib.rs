@@ -51,6 +51,8 @@ mod microtag;
 mod partition;
 mod policy;
 mod sched;
+mod stats;
+mod sweep;
 mod tft;
 mod traits;
 mod vespa;
@@ -66,7 +68,11 @@ pub use policy::{
     VirtualIndex, WayPredict,
 };
 pub use sched::{HitTimeAssumption, SchedulerHint};
+pub use stats::DesignStats;
 pub use tft::{TftStats, TranslationFilterTable};
-pub use traits::{L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase};
+pub use traits::{
+    L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase, PromotionAudit,
+    TranslationOverlap,
+};
 pub use vespa::{VespaConfig, VespaL1, VespaStats};
 pub use vivt::{SynonymStats, VivtL1};

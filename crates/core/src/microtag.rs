@@ -23,7 +23,8 @@ use seesaw_cache::{
 use seesaw_mem::PhysAddr;
 
 use crate::{
-    L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase, VirtualIndex, WayPredict,
+    DesignStats, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase, VirtualIndex,
+    WayPredict,
 };
 
 /// Configuration of a µtag-predicted baseline L1.
@@ -90,21 +91,10 @@ impl MicroTagL1 {
         &self.config
     }
 
-    /// Drops every µtag: the predictor is virtually tagged and ASID-less,
-    /// so an address-space switch invalidates all of it.
-    pub fn context_switch(&mut self) {
-        self.utag.flush();
-    }
-
     /// Way-predictor counters (`l1.waypred.*`), including the
     /// alias-mispredict count unique to µtag prediction.
     pub fn way_prediction_stats(&self) -> WayPredictionStats {
         WayPredict::stats(&self.utag)
-    }
-
-    /// Way-predictor accuracy.
-    pub fn way_prediction_accuracy(&self) -> Option<f64> {
-        Some(self.utag.accuracy())
     }
 
     /// Aliased hits served without tag verification — nonzero only when
@@ -230,6 +220,24 @@ impl L1DataCache for MicroTagL1 {
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    fn timing(&self) -> L1Timing {
+        self.timing
+    }
+
+    /// Drops every µtag: the predictor is virtually tagged and ASID-less,
+    /// so an address-space switch invalidates all of it (Zen2
+    /// erratum-style). Predictions go cold; data stays resident.
+    fn context_switch(&mut self) {
+        self.utag.flush();
+    }
+
+    fn design_stats(&self) -> DesignStats {
+        DesignStats {
+            way_prediction: Some(self.way_prediction_stats()),
+            ..DesignStats::default()
+        }
     }
 }
 

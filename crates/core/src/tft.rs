@@ -26,18 +26,15 @@ pub struct TftStats {
     pub flushes: u64,
 }
 
-impl TftStats {
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &TftStats) -> TftStats {
-        TftStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            fills: self.fills - earlier.fills,
-            invalidations: self.invalidations - earlier.invalidations,
-            flushes: self.flushes - earlier.flushes,
-        }
-    }
+crate::stats::counter_arith!(TftStats {
+    hits,
+    misses,
+    fills,
+    invalidations,
+    flushes
+});
 
+impl TftStats {
     /// Hit rate over all lookups.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;

@@ -1,9 +1,12 @@
-//! The common L1 data-cache interface shared by the baseline VIPT/PIPT
-//! designs and SEESAW, so the CPU timing models and the experiment
-//! harness drive every design through one code path.
+//! The common L1 data-cache interface every design implements (baseline
+//! VIPT/PIPT, SEESAW, VIVT, VESPA, µtag), so the run loop and the
+//! experiment harness drive every design through one code path: the
+//! trait is the whole contract between a design and the simulator.
 
-use seesaw_cache::EvictedLine;
-use seesaw_mem::{PageSize, PhysAddr, VirtAddr};
+use seesaw_cache::{CacheStats, EvictedLine};
+use seesaw_mem::{PageFrame, PageSize, PageTableOp, PhysAddr, VirtAddr};
+
+use crate::DesignStats;
 
 /// One demand access presented to the L1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +83,47 @@ pub struct L1AccessOutcome {
     pub unverified_alias_way: Option<usize>,
 }
 
+/// How a design's lookup overlaps address translation: what the run loop
+/// adds to the array latency to get load-to-use latency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TranslationOverlap {
+    /// PIPT: the TLB access fully precedes the array access.
+    Serial,
+    /// VIPT: set selection overlaps translation; the tag compare waits
+    /// for the (possibly slow) translation.
+    Overlapped,
+    /// VIVT: hits never translate; a miss translates on its way to the L2.
+    OnMiss,
+}
+
+/// The structural audit a design owes right after a promotion.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PromotionAudit {
+    /// Nothing to audit: a physically indexed and tagged array holds no
+    /// state a promotion can make stale.
+    None,
+    /// A partitioned design (SEESAW, VESPA): lines of the migrated-away
+    /// frames still resident (the sweep must leave none), and resident
+    /// lines outside the partition their physical address names (§IV-C1;
+    /// `None` when the insertion policy does not pin lines to it).
+    Partitioned {
+        /// Resident lines of the old frames.
+        resident: usize,
+        /// Lines the narrow coherence probe cannot reach.
+        unreachable: Option<usize>,
+    },
+    /// VIVT: every physical line the back-pointers name (none may lie in
+    /// a freed frame).
+    PhysicalMappings(Vec<u64>),
+}
+
 /// The interface every L1 design implements.
+///
+/// Besides the demand and coherence paths, it carries every per-design
+/// fact and hook the run loop needs. The defaults describe a plain
+/// physically-tagged VIPT array: full-set probes, overlapped translation,
+/// no TFT, and nothing to do on page-table operations or context
+/// switches. A new design is one implementation of this trait.
 pub trait L1DataCache {
     /// Services a demand access: looks up the line and, on a miss, fills
     /// it (evicting per the design's insertion policy). The caller charges
@@ -95,7 +138,60 @@ pub trait L1DataCache {
     fn total_ways(&self) -> usize;
 
     /// Aggregate cache statistics.
-    fn cache_stats(&self) -> seesaw_cache::CacheStats;
+    fn cache_stats(&self) -> CacheStats;
+
+    /// The hit-latency parameters the design was built with.
+    fn timing(&self) -> L1Timing;
+
+    /// Ways one coherence probe reads: the full set, unless the design
+    /// pins every line to the partition its physical address names.
+    fn probe_ways(&self) -> usize {
+        self.total_ways()
+    }
+
+    /// How the lookup overlaps translation.
+    fn translation(&self) -> TranslationOverlap {
+        TranslationOverlap::Overlapped
+    }
+
+    /// True for designs with a TFT (SEESAW). The run loop then trains it
+    /// on TLB superpage fills and on refresh-on-confirmation, charges TFT
+    /// lookup energy, and applies the scheduler's hit-time assumption
+    /// (§IV-B3) to hits on the out-of-order core.
+    fn has_tft(&self) -> bool {
+        false
+    }
+
+    /// Trains the TFT with a superpage region (wired to the 2 MB L1 TLB's
+    /// fill events, Fig. 5 step 8). No-op without a TFT.
+    fn tft_fill(&mut self, _va: VirtAddr) {}
+
+    /// Whether the TFT vouches for `va`, asked without counting a demand
+    /// lookup: the audit hook for the splinter-precision invariant
+    /// (§IV-C2). `None` without a TFT.
+    fn tft_probe(&self, _va: VirtAddr) -> Option<bool> {
+        None
+    }
+
+    /// Reacts to a page-table operation: TFT invalidation on splinters,
+    /// the L1 sweep on promotions (§IV-C2), VIVT back-pointer sweeps.
+    /// Physically tagged designs without a TFT ignore them.
+    fn handle_op(&mut self, _op: &PageTableOp) {}
+
+    /// Drops ASID-less state (the TFT, a µtag) on an address-space switch
+    /// (§IV-C3). Resident data stays.
+    fn context_switch(&mut self) {}
+
+    /// The structural audit to run right after a promotion migrated
+    /// `old_frames` (and [`L1DataCache::handle_op`] saw it).
+    fn promotion_audit(&self, _old_frames: &[PageFrame]) -> PromotionAudit {
+        PromotionAudit::None
+    }
+
+    /// Design-specific counters since construction.
+    fn design_stats(&self) -> DesignStats {
+        DesignStats::default()
+    }
 }
 
 #[cfg(test)]

@@ -15,13 +15,14 @@
 //! against wasted narrow-probe energy on base-page accesses — exactly
 //! the kind of head-to-head the competing-design lab exists to measure.
 
-use seesaw_cache::{CacheStats, MoesiState, ResidentLine, SetAssocCache};
-use seesaw_mem::{PageTableOp, PhysAddr};
+use seesaw_cache::{CacheStats, MoesiState, SetAssocCache};
+use seesaw_mem::{PageFrame, PageTableOp, PhysAddr};
 use seesaw_trace::{Collect, MetricsRegistry};
 
+use crate::sweep::{partitioned_audit, sweep_frames};
 use crate::{
-    InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
-    PartitionDecoder, SeesawConfig, VespaPartitioning, VirtualIndex,
+    DesignStats, InsertionPolicy, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase,
+    PartitionDecoder, PromotionAudit, SeesawConfig, VespaPartitioning, VirtualIndex,
 };
 
 /// Configuration of a VESPA L1: the SEESAW geometry without the TFT.
@@ -70,19 +71,16 @@ pub struct VespaStats {
     pub swept_lines: u64,
 }
 
-impl VespaStats {
-    /// Fieldwise difference versus an earlier snapshot.
-    pub fn delta(&self, earlier: &VespaStats) -> VespaStats {
-        VespaStats {
-            super_fast_hits: self.super_fast_hits - earlier.super_fast_hits,
-            super_fast_misses: self.super_fast_misses - earlier.super_fast_misses,
-            base_accesses: self.base_accesses - earlier.base_accesses,
-            wasted_probe_ways: self.wasted_probe_ways - earlier.wasted_probe_ways,
-            sweeps: self.sweeps - earlier.sweeps,
-            swept_lines: self.swept_lines - earlier.swept_lines,
-        }
-    }
+crate::stats::counter_arith!(VespaStats {
+    super_fast_hits,
+    super_fast_misses,
+    base_accesses,
+    wasted_probe_ways,
+    sweeps,
+    swept_lines,
+});
 
+impl VespaStats {
     /// Fraction of accesses that took the fast superpage path.
     pub fn fast_fraction(&self) -> f64 {
         let total = self.super_fast_hits + self.super_fast_misses + self.base_accesses;
@@ -120,6 +118,7 @@ impl Collect for VespaStats {
 #[derive(Debug, Clone)]
 pub struct VespaL1 {
     config: VespaConfig,
+    timing: L1Timing,
     cache: SetAssocCache,
     decoder: PartitionDecoder,
     policy: VespaPartitioning,
@@ -145,6 +144,7 @@ impl VespaL1 {
             index: VirtualIndex::new(sets, config.cache.line_bytes),
             stats: VespaStats::default(),
             config,
+            timing,
         }
     }
 
@@ -156,71 +156,6 @@ impl VespaL1 {
     /// VESPA-specific counters.
     pub fn vespa_stats(&self) -> VespaStats {
         self.stats
-    }
-
-    /// Reacts to a page-table operation. VESPA has no TFT to invalidate;
-    /// only promotions matter (the frame migration's L1 sweep, same as
-    /// SEESAW's §IV-C2 discipline).
-    pub fn handle_op(&mut self, op: &PageTableOp) -> u64 {
-        match op {
-            PageTableOp::Mapped(_) | PageTableOp::Unmapped(_) | PageTableOp::Splintered(_) => 0,
-            PageTableOp::Promoted { old_frames, .. } => {
-                let mut frame_lines: Vec<(u64, u64)> = old_frames
-                    .iter()
-                    .map(|f| {
-                        let first = f.base().raw() / self.config.cache.line_bytes;
-                        let count = f.size().bytes() / self.config.cache.line_bytes;
-                        (first, first + count)
-                    })
-                    .collect();
-                frame_lines.sort_unstable();
-                let evicted = self.cache.sweep(|ptag| {
-                    frame_lines
-                        .binary_search_by(|&(lo, hi)| {
-                            if ptag < lo {
-                                std::cmp::Ordering::Greater
-                            } else if ptag >= hi {
-                                std::cmp::Ordering::Less
-                            } else {
-                                std::cmp::Ordering::Equal
-                            }
-                        })
-                        .is_ok()
-                });
-                self.stats.sweeps += 1;
-                self.stats.swept_lines += evicted.len() as u64;
-                0
-            }
-        }
-    }
-
-    /// Iterates every valid line without touching LRU or statistics
-    /// (checker audit hook).
-    pub fn resident_lines(&self) -> impl Iterator<Item = ResidentLine> + '_ {
-        self.cache.resident_lines()
-    }
-
-    /// Counts resident lines outside the partition their physical address
-    /// names (see [`SeesawL1::audit_partition_reachability`]).
-    ///
-    /// [`SeesawL1::audit_partition_reachability`]: crate::SeesawL1::audit_partition_reachability
-    pub fn audit_partition_reachability(&self) -> Option<usize> {
-        if !self.config.insertion.lines_are_partition_deterministic() {
-            return None;
-        }
-        let line_bytes = self.config.cache.line_bytes;
-        let unreachable = self
-            .cache
-            .resident_lines()
-            .filter(|line| {
-                let pa = PhysAddr::new(line.ptag * line_bytes);
-                !self
-                    .decoder
-                    .mask_of(self.decoder.partition_of_pa(pa))
-                    .contains(line.way)
-            })
-            .count();
-        Some(unreachable)
     }
 
     fn ptag(&self, pa: PhysAddr) -> u64 {
@@ -300,6 +235,41 @@ impl L1DataCache for VespaL1 {
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
+
+    fn timing(&self) -> L1Timing {
+        self.timing
+    }
+
+    /// One partition, as in SEESAW (§IV-C1).
+    fn probe_ways(&self) -> usize {
+        (self.config.cache.ways / self.config.partitions).max(1)
+    }
+
+    /// No TFT to invalidate: only promotions matter, with the same L1
+    /// sweep as SEESAW (partition residency is a correctness invariant for
+    /// the always-fast superpage lookups).
+    fn handle_op(&mut self, op: &PageTableOp) {
+        if let PageTableOp::Promoted { old_frames, .. } = op {
+            self.stats.sweeps += 1;
+            self.stats.swept_lines += sweep_frames(&mut self.cache, old_frames);
+        }
+    }
+
+    fn promotion_audit(&self, old_frames: &[PageFrame]) -> PromotionAudit {
+        partitioned_audit(
+            &self.cache,
+            &self.decoder,
+            self.config.insertion,
+            old_frames,
+        )
+    }
+
+    fn design_stats(&self) -> DesignStats {
+        DesignStats {
+            vespa: Some(self.stats),
+            ..DesignStats::default()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -372,7 +342,13 @@ mod tests {
         let (present, ways) = l1.coherence_probe(req.pa, false);
         assert!(present, "narrow coherence probe must find the line");
         assert_eq!(ways, 4);
-        assert_eq!(l1.audit_partition_reachability(), Some(0));
+        assert_eq!(
+            l1.promotion_audit(&[]),
+            PromotionAudit::Partitioned {
+                resident: 0,
+                unreachable: Some(0)
+            }
+        );
     }
 
     #[test]

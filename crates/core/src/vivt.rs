@@ -16,10 +16,14 @@
 use std::collections::HashMap;
 
 use seesaw_cache::{CacheConfig, CacheStats, IndexPolicy, SetAssocCache, WayMask};
-use seesaw_mem::{PageTableOp, PhysAddr};
+use seesaw_mem::{PageFrame, PageTableOp, PhysAddr};
 use seesaw_trace::{Collect, MetricsRegistry};
 
-use crate::{L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase};
+use crate::sweep::frame_lines;
+use crate::{
+    DesignStats, L1AccessOutcome, L1DataCache, L1Request, L1Timing, LookupCase, PromotionAudit,
+    TranslationOverlap,
+};
 
 /// Counters for the synonym machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,6 +38,13 @@ pub struct SynonymStats {
     /// Lines evicted by those sweeps.
     pub swept_lines: u64,
 }
+
+crate::stats::counter_arith!(SynonymStats {
+    synonym_remaps,
+    reverse_lookups,
+    mapping_sweeps,
+    swept_lines,
+});
 
 impl Collect for SynonymStats {
     fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
@@ -122,48 +133,6 @@ impl VivtL1 {
     /// Synonym-machinery counters.
     pub fn synonym_stats(&self) -> SynonymStats {
         self.stats
-    }
-
-    /// Reacts to a page-table operation. A virtually-tagged array keeps
-    /// hitting on a VA whose translation changed underneath it, and its
-    /// back-pointers keep naming the old frames — so unlike a conventional
-    /// physically-tagged L1, VIVT *must* observe remappings. On a
-    /// promotion the frames migrate: every line whose back-pointer falls
-    /// in a migrated-away frame is evicted (stale data *and* a stale
-    /// writeback address otherwise). On an unmap the page's virtual lines
-    /// are evicted. A splinter leaves PAs unchanged, so nothing to do.
-    pub fn handle_op(&mut self, op: &PageTableOp) -> u64 {
-        match op {
-            PageTableOp::Mapped(_) | PageTableOp::Splintered(_) => 0,
-            PageTableOp::Unmapped(page) => {
-                let first = page.base().raw() / self.config.line_bytes;
-                let count = page.size().bytes() / self.config.line_bytes;
-                self.sweep_vlines(|vline| vline >= first && vline < first + count);
-                0
-            }
-            PageTableOp::Promoted { old_frames, .. } => {
-                let ranges: Vec<(u64, u64)> = old_frames
-                    .iter()
-                    .map(|f| {
-                        let first = f.base().raw() / self.config.line_bytes;
-                        let count = f.size().bytes() / self.config.line_bytes;
-                        (first, first + count)
-                    })
-                    .collect();
-                let reverse = &self.reverse;
-                let stale: Vec<u64> = ranges
-                    .iter()
-                    .flat_map(|&(lo, hi)| lo..hi)
-                    .filter_map(|pline| reverse.get(&pline).copied())
-                    .collect();
-                self.stats.mapping_sweeps += 1;
-                for vline in stale {
-                    self.stats.swept_lines += 1;
-                    self.evict_alias(vline);
-                }
-                0
-            }
-        }
     }
 
     /// Every physical line the back-pointer maps currently reference —
@@ -283,6 +252,58 @@ impl L1DataCache for VivtL1 {
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    fn timing(&self) -> L1Timing {
+        self.timing
+    }
+
+    fn translation(&self) -> TranslationOverlap {
+        TranslationOverlap::OnMiss
+    }
+
+    /// A virtually-tagged array keeps hitting on a VA whose translation
+    /// changed underneath it, and its back-pointers keep naming the old
+    /// frames — so unlike a conventional physically-tagged L1, VIVT
+    /// *must* observe remappings. On a promotion the frames migrate: every
+    /// line whose back-pointer falls in a migrated-away frame is evicted
+    /// (stale data *and* a stale writeback address otherwise). On an unmap
+    /// the page's virtual lines are evicted. A splinter leaves PAs
+    /// unchanged, so nothing to do.
+    fn handle_op(&mut self, op: &PageTableOp) {
+        match op {
+            PageTableOp::Mapped(_) | PageTableOp::Splintered(_) => {}
+            PageTableOp::Unmapped(page) => {
+                let first = page.base().raw() / self.config.line_bytes;
+                let count = page.size().bytes() / self.config.line_bytes;
+                self.sweep_vlines(|vline| vline >= first && vline < first + count);
+            }
+            PageTableOp::Promoted { old_frames, .. } => {
+                let reverse = &self.reverse;
+                let stale: Vec<u64> = frame_lines(old_frames, self.config.line_bytes)
+                    .into_iter()
+                    .flat_map(|(lo, hi)| lo..hi)
+                    .filter_map(|pline| reverse.get(&pline).copied())
+                    .collect();
+                self.stats.mapping_sweeps += 1;
+                for vline in stale {
+                    self.stats.swept_lines += 1;
+                    self.evict_alias(vline);
+                }
+            }
+        }
+    }
+
+    /// The back-pointers must not name any frame the promotion freed.
+    fn promotion_audit(&self, _old_frames: &[PageFrame]) -> PromotionAudit {
+        PromotionAudit::PhysicalMappings(self.mapped_plines().collect())
+    }
+
+    fn design_stats(&self) -> DesignStats {
+        DesignStats {
+            synonyms: Some(self.stats),
+            ..DesignStats::default()
+        }
     }
 }
 

@@ -14,8 +14,8 @@ use seesaw_coherence::{
     CoherenceMode, CoherenceTraffic, CoherenceTrafficConfig, DirectoryController,
 };
 use seesaw_core::{
-    BaselineL1, L1Timing, MicroTagConfig, MicroTagL1, SchedulerHint, SeesawConfig, SeesawL1,
-    VespaConfig, VespaL1, VivtL1,
+    BaselineL1, L1DataCache, L1Timing, MicroTagConfig, MicroTagL1, SchedulerHint, SeesawConfig,
+    SeesawL1, VespaConfig, VespaL1, VivtL1,
 };
 use seesaw_energy::{EnergyAccount, EnergyModel, SramModel};
 use seesaw_mem::{
@@ -26,7 +26,7 @@ use seesaw_workloads::TraceGenerator;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::core::{Core, L1Flavor, TranslationIntern};
+use crate::core::{Core, TranslationIntern};
 use crate::system::System;
 use crate::uncore::Uncore;
 use crate::{CpuKind, L1DesignKind, ProbeSource, RunConfig, SimError};
@@ -36,39 +36,32 @@ use crate::{CpuKind, L1DesignKind, ProbeSource, RunConfig, SimError};
 /// bit-for-bit.
 const CORE_SEED_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One L1 instance plus the timing facts the run loop needs about it.
-pub(crate) struct L1Build {
-    pub l1: L1Flavor,
-    pub timing: L1Timing,
-    pub total_ways: usize,
-    pub serializes: bool,
-    /// Ways one coherence probe reads in this design (SEESAW and VESPA
-    /// probe a single partition, §IV-C1; everything else reads the full
-    /// set).
-    pub probe_ways: usize,
-}
-
-/// Builds one L1 instance of the configured design.
-pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
+/// Builds one L1 instance of the configured design: the one place the
+/// simulator names a design. Everything else the run loop needs about it
+/// (timing, probe width, translation overlap, the TFT, page-op and
+/// context-switch hooks, counters) comes through [`L1DataCache`].
+pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> Box<dyn L1DataCache> {
     let ghz = config.frequency.ghz();
     let size_kb = config.l1_size_kb;
     let baseline_ways = config.baseline_ways();
+    // Full-set designs hit at the full-set lookup time.
+    let full_set = |ways| {
+        let slow = sram.full_lookup_cycles(size_kb, ways, ghz);
+        L1Timing {
+            fast_cycles: slow,
+            slow_cycles: slow,
+        }
+    };
+    // Partitioned designs: one partition when fast, the full set when slow.
+    let partitioned = |partitions| L1Timing {
+        fast_cycles: sram.partition_lookup_cycles(size_kb, baseline_ways, partitions, ghz),
+        slow_cycles: sram.full_lookup_cycles(size_kb, baseline_ways, ghz),
+    };
     match config.design {
         L1DesignKind::BaselineVipt | L1DesignKind::BaselineWithWayPrediction => {
-            let slow = sram.full_lookup_cycles(size_kb, baseline_ways, ghz);
-            let timing = L1Timing {
-                fast_cycles: slow,
-                slow_cycles: slow,
-            };
             let cache = CacheConfig::new(size_kb << 10, baseline_ways, 64, IndexPolicy::Vipt);
             let wp = config.design == L1DesignKind::BaselineWithWayPrediction;
-            L1Build {
-                l1: L1Flavor::Baseline(BaselineL1::new(cache, timing, wp)),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways: baseline_ways,
-            }
+            Box::new(BaselineL1::new(cache, full_set(baseline_ways), wp))
         }
         L1DesignKind::Seesaw | L1DesignKind::SeesawWithWayPrediction => {
             let mut seesaw_cfg = SeesawConfig::with_size_kb(size_kb)
@@ -80,38 +73,12 @@ pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
             if config.design == L1DesignKind::SeesawWithWayPrediction {
                 seesaw_cfg = seesaw_cfg.with_way_prediction();
             }
-            let timing = L1Timing {
-                fast_cycles: sram.partition_lookup_cycles(
-                    size_kb,
-                    baseline_ways,
-                    seesaw_cfg.partitions,
-                    ghz,
-                ),
-                slow_cycles: sram.full_lookup_cycles(size_kb, baseline_ways, ghz),
-            };
-            let probe_ways = (baseline_ways / seesaw_cfg.partitions).max(1);
-            L1Build {
-                l1: L1Flavor::Seesaw(Box::new(SeesawL1::new(seesaw_cfg, timing))),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways,
-            }
+            let timing = partitioned(seesaw_cfg.partitions);
+            Box::new(SeesawL1::new(seesaw_cfg, timing))
         }
         L1DesignKind::Pipt { ways } => {
-            let slow = sram.full_lookup_cycles(size_kb, ways, ghz);
-            let timing = L1Timing {
-                fast_cycles: slow,
-                slow_cycles: slow,
-            };
             let cache = CacheConfig::new(size_kb << 10, ways, 64, IndexPolicy::Pipt);
-            L1Build {
-                l1: L1Flavor::Baseline(BaselineL1::new(cache, timing, false)),
-                timing,
-                total_ways: ways,
-                serializes: true,
-                probe_ways: ways,
-            }
+            Box::new(BaselineL1::new(cache, full_set(ways), false))
         }
         L1DesignKind::Vivt { ways } => {
             let fast = sram.full_lookup_cycles(size_kb, ways, ghz);
@@ -120,13 +87,7 @@ pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
                 // The slow path is a synonym remap: two probe rounds.
                 slow_cycles: fast * 2,
             };
-            L1Build {
-                l1: L1Flavor::Vivt(Box::new(VivtL1::new(size_kb << 10, ways, timing))),
-                timing,
-                total_ways: ways,
-                serializes: false,
-                probe_ways: ways,
-            }
+            Box::new(VivtL1::new(size_kb << 10, ways, timing))
         }
         L1DesignKind::Vespa => {
             // SEESAW's geometry and timing menu, minus the TFT: the fast
@@ -137,30 +98,10 @@ pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
             if let Some(partitions) = config.seesaw_partitions {
                 vespa_cfg.partitions = partitions;
             }
-            let timing = L1Timing {
-                fast_cycles: sram.partition_lookup_cycles(
-                    size_kb,
-                    baseline_ways,
-                    vespa_cfg.partitions,
-                    ghz,
-                ),
-                slow_cycles: sram.full_lookup_cycles(size_kb, baseline_ways, ghz),
-            };
-            let probe_ways = (baseline_ways / vespa_cfg.partitions).max(1);
-            L1Build {
-                l1: L1Flavor::Vespa(Box::new(VespaL1::new(vespa_cfg, timing))),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways,
-            }
+            let timing = partitioned(vespa_cfg.partitions);
+            Box::new(VespaL1::new(vespa_cfg, timing))
         }
         L1DesignKind::BaselineMicroTag => {
-            let slow = sram.full_lookup_cycles(size_kb, baseline_ways, ghz);
-            let timing = L1Timing {
-                fast_cycles: slow,
-                slow_cycles: slow,
-            };
             let cache = CacheConfig::new(size_kb << 10, baseline_ways, 64, IndexPolicy::Vipt);
             // The chaos knob models hardware that serves a µtag match
             // without verifying the physical tag — the bug the checker's
@@ -174,13 +115,7 @@ pub(crate) fn build_l1(config: &RunConfig, sram: &SramModel) -> L1Build {
             } else {
                 MicroTagConfig::new(cache).without_verification()
             };
-            L1Build {
-                l1: L1Flavor::MicroTag(Box::new(MicroTagL1::new(utag_cfg, timing))),
-                timing,
-                total_ways: baseline_ways,
-                serializes: false,
-                probe_ways: baseline_ways,
-            }
+            Box::new(MicroTagL1::new(utag_cfg, full_set(baseline_ways)))
         }
     }
 }
@@ -345,19 +280,7 @@ impl System {
         let sram = SramModel::tsmc28_scaled_22nm();
         let n = config.cores.max(1);
         let mut cores = Vec::with_capacity(n);
-        let mut timing = L1Timing {
-            fast_cycles: 0,
-            slow_cycles: 0,
-        };
-        let mut total_ways = 0;
-        let mut serializes = false;
-        let mut probe_ways = 1;
         for id in 0..n {
-            let built = build_l1(config, &sram);
-            timing = built.timing;
-            total_ways = built.total_ways;
-            serializes = built.serializes;
-            probe_ways = built.probe_ways;
             // Each core streams its own workload instance, decorrelated
             // by a Weyl stride; core 0 keeps the run's base seed so the
             // single-core stream is unchanged by the refactor.
@@ -377,7 +300,7 @@ impl System {
             cores.push(Core {
                 id,
                 tlbs: TlbHierarchy::new(Self::tlb_config(config)),
-                l1: built.l1,
+                l1: build_l1(config, &sram),
                 generator: TraceGenerator::new(&config.workload, config.seed ^ lane),
                 hint: SchedulerHint::default(),
                 traffic,
@@ -408,6 +331,7 @@ impl System {
         // The real coherence substrate: a functional model of every
         // core's L1 tag state under MOESI, sized like the timing L1s,
         // probing one partition per delivery for SEESAW designs.
+        let total_ways = cores[0].l1.total_ways();
         let coherence = (config.probe_source == ProbeSource::Coherence).then(|| {
             let geometry =
                 CacheConfig::new(config.l1_size_kb << 10, total_ways, 64, IndexPolicy::Vipt);
@@ -416,7 +340,7 @@ impl System {
             } else {
                 CoherenceMode::Directory
             };
-            DirectoryController::new(n, geometry, mode, probe_ways)
+            DirectoryController::new(n, geometry, mode, cores[0].l1.probe_ways())
         });
 
         let outer_cfg = OuterHierarchyConfig::table_ii(config.frequency.ghz());
@@ -428,8 +352,6 @@ impl System {
 
         Ok(System {
             config: config.clone(),
-            timing,
-            serializes_translation: serializes,
             cores,
             uncore: Uncore {
                 pmem,

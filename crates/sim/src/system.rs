@@ -4,11 +4,11 @@
 //! models. Construction — design wiring, memory images, interned build
 //! artifacts — lives in the private `build` module.
 
-use seesaw_cache::{CacheStats, MemoryLevel, WayPredictionStats};
+use seesaw_cache::{CacheStats, MemoryLevel};
 use seesaw_check::{
     AccessCheck, CheckEvent, CheckerSummary, FaultKind, InjectionStats, ViolationCounters,
 };
-use seesaw_core::{HitTimeAssumption, L1Request, L1Timing, SeesawStats, TftStats, VespaStats};
+use seesaw_core::{DesignStats, HitTimeAssumption, L1Request, PromotionAudit, TranslationOverlap};
 use seesaw_cpu::{CpuModel, InOrderCpu, OooCpu, RunTotals};
 
 use seesaw_mem::{
@@ -24,7 +24,7 @@ use crate::build::{
     memory_image_key, stream_cache, warm_outer_cache, StreamArtifact, STREAM_CACHE_CAP,
     WARM_OUTER_CAP,
 };
-use crate::core::{Core, L1Flavor};
+use crate::core::Core;
 use crate::status::{ActiveProgress, NoProgress, Progress};
 use crate::uncore::Uncore;
 use seesaw_trace::ops::CellPhase;
@@ -66,12 +66,9 @@ struct SampleWindow {
 }
 
 impl SampleWindow {
-    fn capture<C: CpuModel>(core: &mut Core, cpu: &C) -> SampleWindow {
-        let l1 = core.l1.as_dyn().cache_stats();
-        let tft = match &mut core.l1 {
-            L1Flavor::Seesaw(s) => s.tft_stats(),
-            _ => TftStats::default(),
-        };
+    fn capture<C: CpuModel>(core: &Core, cpu: &C) -> SampleWindow {
+        let l1 = core.l1.cache_stats();
+        let tft = core.l1.design_stats().tft;
         SampleWindow {
             instructions: cpu.instructions(),
             cycles: cpu.cycles(),
@@ -116,8 +113,6 @@ impl SampleWindow {
 /// `build` module); see the crate-level example for typical use.
 pub struct System {
     pub(crate) config: RunConfig,
-    pub(crate) timing: L1Timing,
-    pub(crate) serializes_translation: bool,
     pub(crate) cores: Vec<Core>,
     pub(crate) uncore: Uncore,
 }
@@ -322,8 +317,6 @@ impl System {
         }
         if let Err(e) = interleave(
             &self.config,
-            self.timing,
-            self.serializes_translation,
             &mut self.cores,
             &mut self.uncore,
             &mut warm_cpus,
@@ -354,33 +347,17 @@ impl System {
             tlb: TlbStats,
             walker: WalkerStats,
             walk_hist: Log2Histogram,
-            seesaw: SeesawStats,
-            tft: TftStats,
-            vespa: VespaStats,
-            waypred: Option<WayPredictionStats>,
+            design: DesignStats,
         }
         let before: Vec<CoreBefore> = self
             .cores
-            .iter_mut()
-            .map(|core| {
-                let (seesaw, tft) = match &mut core.l1 {
-                    L1Flavor::Seesaw(l) => (l.seesaw_stats(), l.tft_stats()),
-                    _ => (SeesawStats::default(), TftStats::default()),
-                };
-                let vespa = match &core.l1 {
-                    L1Flavor::Vespa(v) => v.vespa_stats(),
-                    _ => VespaStats::default(),
-                };
-                CoreBefore {
-                    l1: core.l1.as_dyn().cache_stats(),
-                    tlb: core.tlbs.l1_stats(),
-                    walker: core.tlbs.walker_stats(),
-                    walk_hist: core.tlbs.walker_latency_hist(),
-                    seesaw,
-                    tft,
-                    vespa,
-                    waypred: core.l1.way_prediction_stats(),
-                }
+            .iter()
+            .map(|core| CoreBefore {
+                l1: core.l1.cache_stats(),
+                tlb: core.tlbs.l1_stats(),
+                walker: core.tlbs.walker_stats(),
+                walk_hist: core.tlbs.walker_latency_hist(),
+                design: core.l1.design_stats(),
             })
             .collect();
 
@@ -392,8 +369,6 @@ impl System {
                 let mut cpus: Vec<InOrderCpu> = (0..n).map(|_| InOrderCpu::atom()).collect();
                 if let Err(e) = interleave(
                     &self.config,
-                    self.timing,
-                    self.serializes_translation,
                     &mut self.cores,
                     &mut self.uncore,
                     &mut cpus,
@@ -411,8 +386,6 @@ impl System {
                 let mut cpus: Vec<OooCpu> = (0..n).map(|_| OooCpu::sandybridge()).collect();
                 if let Err(e) = interleave(
                     &self.config,
-                    self.timing,
-                    self.serializes_translation,
                     &mut self.cores,
                     &mut self.uncore,
                     &mut cpus,
@@ -442,61 +415,22 @@ impl System {
         let mut l1_stats = CacheStats::default();
         let mut tlb_stats = TlbStats::default();
         let mut walker_total = WalkerStats::default();
-        let mut seesaw_stats = SeesawStats::default();
-        let mut tft_stats = TftStats::default();
-        let mut vespa_stats = VespaStats::default();
-        let mut waypred_stats: Option<WayPredictionStats> = None;
+        let mut design_stats = DesignStats::default();
         let mut walk_latency: Option<Log2Histogram> = None;
         let mut miss_penalty: Option<Log2Histogram> = None;
         let mut core_results: Vec<CoreResult> = Vec::with_capacity(n);
         for (i, core) in self.cores.iter_mut().enumerate() {
             let b = &before[i];
-            let l1 = core.l1.as_dyn().cache_stats().delta(&b.l1);
-            let (seesaw, tft, wp_acc) = match &mut core.l1 {
-                L1Flavor::Seesaw(s) => (
-                    s.seesaw_stats().delta(&b.seesaw),
-                    s.tft_stats().delta(&b.tft),
-                    s.way_prediction_accuracy(),
-                ),
-                L1Flavor::Baseline(bl) => (
-                    SeesawStats::default(),
-                    TftStats::default(),
-                    bl.way_prediction_accuracy(),
-                ),
-                L1Flavor::MicroTag(m) => (
-                    SeesawStats::default(),
-                    TftStats::default(),
-                    m.way_prediction_accuracy(),
-                ),
-                L1Flavor::Vivt(_) | L1Flavor::Vespa(_) => {
-                    (SeesawStats::default(), TftStats::default(), None)
-                }
-            };
-            if let L1Flavor::Vespa(v) = &core.l1 {
-                add_vespa(&mut vespa_stats, &v.vespa_stats().delta(&b.vespa));
-            }
-            if let Some(now) = core.l1.way_prediction_stats() {
-                let base = b.waypred.unwrap_or_default();
-                let delta = WayPredictionStats {
-                    hits: now.hits - base.hits,
-                    mispredictions: now.mispredictions - base.mispredictions,
-                    cold: now.cold - base.cold,
-                    alias_mispredicts: now.alias_mispredicts - base.alias_mispredicts,
-                };
-                let total = waypred_stats.get_or_insert_with(WayPredictionStats::default);
-                total.hits += delta.hits;
-                total.mispredictions += delta.mispredictions;
-                total.cold += delta.cold;
-                total.alias_mispredicts += delta.alias_mispredicts;
-            }
+            let l1 = core.l1.cache_stats().delta(&b.l1);
+            let lifetime = core.l1.design_stats();
+            let design = lifetime.delta(&b.design);
+            design_stats.add(&design);
             let tlb = core.tlbs.l1_stats().delta(&b.tlb);
             let walker = core.tlbs.walker_stats().delta(&b.walker);
             let walk_hist = core.tlbs.walker_latency_hist().delta(&b.walk_hist);
             add_cache(&mut l1_stats, &l1);
             add_tlb(&mut tlb_stats, &tlb);
             add_walker(&mut walker_total, &walker);
-            add_seesaw(&mut seesaw_stats, &seesaw);
-            add_tft(&mut tft_stats, &tft);
             match walk_latency.as_mut() {
                 Some(h) => h.merge(&walk_hist),
                 None => walk_latency = Some(walk_hist),
@@ -512,15 +446,16 @@ impl System {
                 l1,
                 tlb_l1: tlb,
                 walks: walker.walks,
-                seesaw,
-                tft,
+                seesaw: design.seesaw,
+                tft: design.tft,
                 coherence_probes: ctr.coherence_probes,
                 superpage_ref_fraction: if ctr.total_refs == 0 {
                     0.0
                 } else {
                     ctr.super_refs as f64 / ctr.total_refs as f64
                 },
-                way_prediction_accuracy: wp_acc,
+                // Over the whole run, warmup included.
+                way_prediction_accuracy: lifetime.way_prediction.map(|w| w.accuracy()),
                 faults: core.injector.as_ref().map(|inj| inj.stats()),
                 checker: core.checker.as_ref().map(|c| c.summary()),
                 samples: std::mem::take(&mut ctr.samples),
@@ -567,14 +502,13 @@ impl System {
         }
         walker_total.collect("tlb.walker", &mut metrics);
         walk_latency.collect("tlb.walk_latency", &mut metrics);
-        seesaw_stats.collect("seesaw", &mut metrics);
-        tft_stats.collect("tft", &mut metrics);
-        if matches!(self.cores[0].l1, L1Flavor::Vespa(_)) {
-            vespa_stats.collect("vespa", &mut metrics);
+        DesignStats {
+            // `vivt.*` reports core 0's synonym counters over the whole
+            // run, warmup included.
+            synonyms: self.cores[0].l1.design_stats().synonyms,
+            ..design_stats
         }
-        if let Some(wp) = waypred_stats.as_ref() {
-            wp.collect("l1.waypred", &mut metrics);
-        }
+        .collect_metrics(&mut metrics);
         {
             // Measured average load-to-use latency over L1 hits: the
             // head-to-head hit-latency column of the designs driver.
@@ -600,9 +534,6 @@ impl System {
         }
         self.uncore.space.thp_stats().collect("os.thp", &mut metrics);
         self.uncore.pmem.stats().collect("os.buddy", &mut metrics);
-        if let L1Flavor::Vivt(v) = &self.cores[0].l1 {
-            v.synonym_stats().collect("vivt", &mut metrics);
-        }
         if let Some(f) = faults.as_ref() {
             f.collect("faults", &mut metrics);
         }
@@ -635,8 +566,8 @@ impl System {
             l1_mpki: l1_stats.mpki(totals.instructions),
             tlb_l1: tlb_stats,
             walks: walker_total.walks,
-            seesaw: seesaw_stats,
-            tft: tft_stats,
+            seesaw: design_stats.seesaw,
+            tft: design_stats.tft,
             superpage_coverage: self.uncore.space.superpage_coverage(),
             superpage_ref_fraction: if total_refs == 0 {
                 0.0
@@ -730,8 +661,6 @@ struct Schedule {
 #[inline(never)]
 fn interleave<C: CpuModel, S: Sink, P: Progress>(
     config: &RunConfig,
-    timing: L1Timing,
-    serializes_translation: bool,
     cores: &mut [Core],
     uncore: &mut Uncore,
     cpus: &mut [C],
@@ -743,8 +672,10 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
 ) -> Result<(), SimError> {
     let miss_squash = OooCpu::sandybridge().miss_squash_cycles();
     let is_ooo = config.cpu == CpuKind::OutOfOrder;
-    let is_seesaw = matches!(cores[0].l1, L1Flavor::Seesaw(_));
-    let is_vivt = cores[0].l1.is_vivt();
+    // Loop-invariant design facts (every core runs the same design).
+    let has_tft = cores[0].l1.has_tft();
+    let overlap = cores[0].l1.translation();
+    let slow_cycles = cores[0].l1.timing().slow_cycles;
     let line_bytes = 64u64;
     let n = cores.len();
 
@@ -766,7 +697,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
         .map(|i| Schedule {
             executed: 0,
             next_sample: if measure { sample_every } else { u64::MAX },
-            window: SampleWindow::capture(&mut cores[i], &cpus[i]),
+            window: SampleWindow::capture(&cores[i], &cpus[i]),
             last_tft_rate: 0.0,
             next_switch: switch_every,
             next_page_op: page_op_every,
@@ -835,7 +766,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 }
                 // VIVT hits never consult the TLB; its translation energy is
                 // charged below, only for misses.
-                if measure && !is_vivt {
+                if measure && overlap != TranslationOverlap::OnMiss {
                     uncore.account.tlb_l1();
                     match lookup.level {
                         TlbLevel::L1 => {}
@@ -846,9 +777,9 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                         }
                     }
                 }
-                if let Some(seesaw) = core.l1.seesaw() {
+                if has_tft {
                     for page in &lookup.superpage_l1_fills {
-                        seesaw.tft_fill(page.base());
+                        core.l1.tft_fill(page.base());
                         if S::ENABLED {
                             sink.emit(at, EventKind::TftFill);
                         }
@@ -868,7 +799,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                     page_size,
                     is_write: tref.is_write,
                 };
-                let out = core.l1.as_dyn().access(&req);
+                let out = core.l1.access(&req);
                 if S::ENABLED {
                     if let Some(hit) = out.tft_hit {
                         sink.emit(at, EventKind::TftLookup { hit });
@@ -920,7 +851,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 }
 
                 let mut squash_cycles = 0u64;
-                if is_seesaw {
+                if has_tft {
                     if measure {
                         uncore.account.tft_lookup();
                     }
@@ -932,11 +863,9 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                     // a direct-mapped conflict pair would stay cold between
                     // TLB misses.
                     if out.tft_hit == Some(false) && page_size.is_superpage() {
-                        if let Some(seesaw) = core.l1.seesaw() {
-                            seesaw.tft_fill(va);
-                            if S::ENABLED {
-                                sink.emit(at, EventKind::TftFill);
-                            }
+                        core.l1.tft_fill(va);
+                        if S::ENABLED {
+                            sink.emit(at, EventKind::TftFill);
                         }
                     }
                 }
@@ -945,18 +874,18 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 }
 
                 // Assemble load-to-use latency.
-                let mut latency = if serializes_translation {
+                let mut latency = match overlap {
                     // PIPT: the TLB access (2 cycles for an L1 TLB hit, plus
                     // any miss cost) fully precedes the array access.
-                    2 + lookup.cost_cycles + out.latency_cycles
-                } else if is_vivt {
+                    TranslationOverlap::Serial => 2 + lookup.cost_cycles + out.latency_cycles,
                     // VIVT: hits are translation-free; misses translate on the
                     // way to the L2 (added below with the miss cost).
-                    out.latency_cycles
-                } else {
+                    TranslationOverlap::OnMiss => out.latency_cycles,
                     // VIPT: set selection overlaps translation; the tag
                     // compare waits for the (possibly slow) translation.
-                    out.latency_cycles.max(lookup.cost_cycles + 1)
+                    TranslationOverlap::Overlapped => {
+                        out.latency_cycles.max(lookup.cost_cycles + 1)
+                    }
                 };
 
                 if !out.hit {
@@ -965,7 +894,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                     if measure {
                         ctr.miss_penalty.record(miss_cycles);
                     }
-                    if is_vivt {
+                    if overlap == TranslationOverlap::OnMiss {
                         // The translation VIVT deferred happens on the miss path.
                         latency += lookup.cost_cycles + 1;
                         if measure {
@@ -1003,7 +932,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                             }
                         }
                     }
-                } else if is_ooo && is_seesaw {
+                } else if is_ooo && has_tft {
                     // Scheduler hit-time assumption (§IV-B3): only meaningful
                     // for SEESAW hits on the out-of-order core, so the
                     // occupancy query runs here rather than once per
@@ -1027,7 +956,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                         HitTimeAssumption::Slow => {
                             // Dependents were scheduled for the slow time; a
                             // fast hit completes early without helping.
-                            latency = latency.max(timing.slow_cycles);
+                            latency = latency.max(slow_cycles);
                         }
                     }
                 }
@@ -1053,7 +982,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 if let Some(traffic) = core.traffic.as_mut() {
                     traffic.record_line(pa.raw() / line_bytes);
                     for probe in traffic.step(tref.gap + 1) {
-                        let (_, ways) = core.l1.as_dyn().coherence_probe(
+                        let (_, ways) = core.l1.coherence_probe(
                             PhysAddr::new(probe.ptag * line_bytes),
                             probe.invalidate,
                         );
@@ -1088,7 +1017,6 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                 for p in tx.probes {
                     let (_, ways) = cores[p.target]
                         .l1
-                        .as_dyn()
                         .coherence_probe(PhysAddr::new(ptag * line_bytes), p.invalidate);
                     if S::ENABLED {
                         // The probe is the target core's event; the timeline
@@ -1119,30 +1047,23 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
             // Telemetry window boundary.
             if sched[i].executed >= sched[i].next_sample {
                 sched[i].next_sample += sample_every;
-                let now = SampleWindow::capture(&mut cores[i], &cpus[i]);
+                let now = SampleWindow::capture(&cores[i], &cpus[i]);
                 let sample = sched[i].window.delta(&now, sched[i].last_tft_rate);
                 sched[i].last_tft_rate = sample.tft_hit_rate;
                 counters[i].samples.push(sample);
                 sched[i].window = now;
             }
 
-            // Context switches flush the (ASID-less) TFT.
+            // Context switches flush the design's ASID-less state (the
+            // TFT, the µtag).
             if sched[i].executed >= sched[i].next_switch {
                 sched[i].next_switch += switch_every;
                 if S::ENABLED {
                     sink.emit(at, EventKind::ContextSwitch);
                 }
-                if let Some(seesaw) = cores[i].l1.seesaw() {
-                    seesaw.context_switch();
-                    if S::ENABLED {
-                        sink.emit(at, EventKind::TftFlush);
-                    }
-                }
-                // The µtag is virtually tagged without ASIDs, so a context
-                // switch flushes the predictor (Zen2 erratum-style behavior)
-                // — every prediction goes cold, data stays resident.
-                if let L1Flavor::MicroTag(m) = &mut cores[i].l1 {
-                    m.context_switch();
+                cores[i].l1.context_switch();
+                if S::ENABLED && has_tft {
+                    sink.emit(at, EventKind::TftFlush);
                 }
             }
 
@@ -1275,24 +1196,9 @@ fn apply_page_op<S: Sink>(
             PageTableOp::Promoted { .. } => chaos.drop_promotion_sweep,
             _ => false,
         };
-        for core in cores.iter_mut() {
-            match &mut core.l1 {
-                L1Flavor::Seesaw(l1) if !dropped => {
-                    l1.handle_op(&op);
-                }
-                // VIVT must always observe remappings: its virtual tags
-                // keep hitting after a translation change, and its
-                // back-pointers would keep naming the migrated-away frames.
-                L1Flavor::Vivt(l1) if !dropped => {
-                    l1.handle_op(&op);
-                }
-                // VESPA sweeps promoted regions exactly as SEESAW does
-                // (partition residency is a correctness invariant for its
-                // always-fast superpage lookups).
-                L1Flavor::Vespa(l1) if !dropped => {
-                    l1.handle_op(&op);
-                }
-                _ => {}
+        if !dropped {
+            for core in cores.iter_mut() {
+                core.l1.handle_op(&op);
             }
         }
         for core in cores.iter_mut() {
@@ -1340,8 +1246,7 @@ fn observe_op(
             }
             // §IV-C2 precision: the TFT must no longer vouch for the
             // splintered region.
-            if let L1Flavor::Seesaw(l1) = &core.l1 {
-                let still_vouches = l1.tft_probe(page.base());
+            if let Some(still_vouches) = core.l1.tft_probe(page.base()) {
                 if let Some(checker) = core.checker.as_mut() {
                     checker.audit_splinter_tft(instruction, region_va, still_vouches)?;
                 }
@@ -1369,90 +1274,28 @@ fn observe_op(
             if let Some(checker) = core.checker.as_mut() {
                 checker.observe_promotion(instruction, region_va, new_frame, &frames);
             }
-            match &core.l1 {
-                L1Flavor::Seesaw(l1) => {
-                    // No line of the migrated-away frames may survive
-                    // the promotion sweep.
-                    let mut ranges: Vec<(u64, u64)> = old_frames
-                        .iter()
-                        .map(|f| {
-                            let first = f.base().raw() / 64;
-                            (first, first + f.size().bytes() / 64)
-                        })
-                        .collect();
-                    ranges.sort_unstable();
-                    let resident = l1
-                        .resident_lines()
-                        .filter(|line| {
-                            ranges
-                                .binary_search_by(|&(lo, hi)| {
-                                    if line.ptag < lo {
-                                        std::cmp::Ordering::Greater
-                                    } else if line.ptag >= hi {
-                                        std::cmp::Ordering::Less
-                                    } else {
-                                        std::cmp::Ordering::Equal
-                                    }
-                                })
-                                .is_ok()
-                        })
-                        .count();
-                    let unreachable = l1.audit_partition_reachability();
-                    if let Some(checker) = core.checker.as_mut() {
-                        checker.audit_promotion_sweep(instruction, region_va, resident)?;
-                        // §IV-C1: every resident line must sit in the
-                        // partition its physical address names.
-                        if let Some(unreachable) = unreachable {
-                            checker.audit_partitions(instruction, unreachable)?;
-                        }
-                    }
-                }
-                L1Flavor::Vespa(l1) => {
-                    // Same residency + reachability contract as SEESAW:
-                    // the sweep must clear every line of the migrated-away
-                    // frames, and each survivor must sit in the partition
-                    // its physical address names.
-                    let mut ranges: Vec<(u64, u64)> = old_frames
-                        .iter()
-                        .map(|f| {
-                            let first = f.base().raw() / 64;
-                            (first, first + f.size().bytes() / 64)
-                        })
-                        .collect();
-                    ranges.sort_unstable();
-                    let resident = l1
-                        .resident_lines()
-                        .filter(|line| {
-                            ranges
-                                .binary_search_by(|&(lo, hi)| {
-                                    if line.ptag < lo {
-                                        std::cmp::Ordering::Greater
-                                    } else if line.ptag >= hi {
-                                        std::cmp::Ordering::Less
-                                    } else {
-                                        std::cmp::Ordering::Equal
-                                    }
-                                })
-                                .is_ok()
-                        })
-                        .count();
-                    let unreachable = l1.audit_partition_reachability();
-                    if let Some(checker) = core.checker.as_mut() {
+            let audit = core.l1.promotion_audit(old_frames);
+            if let Some(checker) = core.checker.as_mut() {
+                match audit {
+                    PromotionAudit::None => {}
+                    PromotionAudit::Partitioned {
+                        resident,
+                        unreachable,
+                    } => {
+                        // No line of the migrated-away frames may survive
+                        // the sweep, and (§IV-C1) every resident line must
+                        // sit in the partition its physical address names.
                         checker.audit_promotion_sweep(instruction, region_va, resident)?;
                         if let Some(unreachable) = unreachable {
                             checker.audit_partitions(instruction, unreachable)?;
                         }
                     }
-                }
-                L1Flavor::Vivt(l1) => {
-                    // VIVT back-pointers must not reference the frames
-                    // the promotion freed.
-                    let plines: Vec<u64> = l1.mapped_plines().collect();
-                    if let Some(checker) = core.checker.as_mut() {
+                    // VIVT back-pointers must not reference the frames the
+                    // promotion freed.
+                    PromotionAudit::PhysicalMappings(plines) => {
                         checker.audit_physical_mappings(instruction, plines)?;
                     }
                 }
-                L1Flavor::Baseline(_) | L1Flavor::MicroTag(_) => {}
             }
         }
         PageTableOp::Unmapped(page) => {
@@ -1569,12 +1412,10 @@ fn apply_fault<S: Sink>(
                     .space
                     .translate(va)
                     .is_some_and(|t| t.page_size.is_superpage());
-                if backed_super {
-                    if let Some(seesaw) = cores[initiator].l1.seesaw() {
-                        seesaw.tft_fill(va);
-                        if S::ENABLED {
-                            sink.emit(instruction, EventKind::TftFill);
-                        }
+                if backed_super && cores[initiator].l1.has_tft() {
+                    cores[initiator].l1.tft_fill(va);
+                    if S::ENABLED {
+                        sink.emit(instruction, EventKind::TftFill);
                     }
                 }
             }
@@ -1583,14 +1424,9 @@ fn apply_fault<S: Sink>(
             if S::ENABLED {
                 sink.emit(instruction, EventKind::ContextSwitch);
             }
-            if let Some(seesaw) = cores[initiator].l1.seesaw() {
-                seesaw.context_switch();
-                if S::ENABLED {
-                    sink.emit(instruction, EventKind::TftFlush);
-                }
-            }
-            if let L1Flavor::MicroTag(m) = &mut cores[initiator].l1 {
-                m.context_switch();
+            cores[initiator].l1.context_switch();
+            if S::ENABLED && cores[initiator].l1.has_tft() {
+                sink.emit(instruction, EventKind::TftFlush);
             }
             if let Some(checker) = cores[initiator].checker.as_mut() {
                 checker.record_event(instruction, CheckEvent::ContextSwitch);
@@ -1691,57 +1527,6 @@ fn add_walker(total: &mut WalkerStats, s: &WalkerStats) {
     total.walks += walks;
     total.cycles += cycles;
     total.faults += faults;
-}
-
-fn add_seesaw(total: &mut SeesawStats, s: &SeesawStats) {
-    let SeesawStats {
-        super_tft_hit_cache_hit,
-        super_tft_hit_cache_miss,
-        super_tft_miss,
-        base_page,
-        super_tft_miss_l1_miss,
-        sweeps,
-        swept_lines,
-    } = *s;
-    total.super_tft_hit_cache_hit += super_tft_hit_cache_hit;
-    total.super_tft_hit_cache_miss += super_tft_hit_cache_miss;
-    total.super_tft_miss += super_tft_miss;
-    total.base_page += base_page;
-    total.super_tft_miss_l1_miss += super_tft_miss_l1_miss;
-    total.sweeps += sweeps;
-    total.swept_lines += swept_lines;
-}
-
-fn add_vespa(total: &mut VespaStats, s: &VespaStats) {
-    let VespaStats {
-        super_fast_hits,
-        super_fast_misses,
-        base_accesses,
-        wasted_probe_ways,
-        sweeps,
-        swept_lines,
-    } = *s;
-    total.super_fast_hits += super_fast_hits;
-    total.super_fast_misses += super_fast_misses;
-    total.base_accesses += base_accesses;
-    total.wasted_probe_ways += wasted_probe_ways;
-    total.sweeps += sweeps;
-    total.swept_lines += swept_lines;
-}
-
-fn add_tft(total: &mut TftStats, s: &TftStats) {
-    let TftStats {
-        hits,
-        misses,
-        fills,
-        invalidations,
-        flushes,
-    } = *s;
-    total.hits += hits;
-    total.misses += misses;
-    total.fills += fills;
-    total.invalidations += invalidations;
-    total.flushes += flushes;
 }
 
 fn add_inject(total: &mut InjectionStats, s: &InjectionStats) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Pre-merge gate (see ROADMAP.md): build, full test suite, lint-clean,
-# and a deterministic fault-injected shadow-checker run. Every step must
-# pass before a change lands.
+# Pre-merge gate (see ROADMAP.md): build, full test suite, figure-output
+# digests, the benchmark harness's tests, lint-clean, and a deterministic
+# fault-injected shadow-checker run. Every step must pass before a change
+# lands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,12 @@ cargo build --release --workspace
 
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
+
+echo "==> figure digests: every figure driver's stdout at budget 20000 matches results/digests.txt"
+scripts/digests.sh --check
+
+echo "==> benchmark harness (simbench): build + tests, incl. replay-vs-System::run equivalence"
+cargo test --release --offline --manifest-path simbench/Cargo.toml
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

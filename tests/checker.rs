@@ -150,38 +150,86 @@ fn skipping_way_verification_is_caught() {
 /// injectors firing against the *shared* page table (so every splinter,
 /// promotion, and shootdown is a genuine cross-core invalidation) and
 /// per-core shadow checkers still agree with ground truth on every core,
-/// deterministically.
+/// deterministically — for all seven designs, whose page-op,
+/// context-switch and audit hooks each run against a peer core here.
 #[test]
 fn two_core_fault_injected_runs_stay_clean_and_deterministic() {
-    let cfg = RunConfig::paper("redis")
-        .design(L1DesignKind::Seesaw)
-        .instructions(400_000)
-        .cores(2)
-        .with_checker()
-        .with_faults(FaultConfig::all(SEED));
-    let run = || {
-        System::build(&cfg)
-            .unwrap()
-            .run()
-            .unwrap_or_else(|e| panic!("2-core seed {SEED:#x}: {e}"))
-    };
-    let a = run();
-    let checker = a.checker.as_ref().expect("checker was enabled");
-    assert_eq!(checker.violations.total(), 0, "violations on a correct simulator");
-    assert!(checker.loads_checked > 0);
-    let faults = a.faults.as_ref().expect("injector was attached");
-    assert!(faults.total() > 0, "injectors never fired ({faults:?})");
-    // Each core's own checker and injector did real work.
-    assert_eq!(a.cores.len(), 2);
-    for core in &a.cores {
-        let c = core.checker.as_ref().expect("per-core checker");
-        assert_eq!(c.violations.total(), 0, "core {} diverged", core.core);
-        assert!(c.loads_checked > 0, "core {} checker idle", core.core);
+    for design in [
+        L1DesignKind::BaselineVipt,
+        L1DesignKind::Seesaw,
+        L1DesignKind::SeesawWithWayPrediction,
+        L1DesignKind::Pipt { ways: 4 },
+        L1DesignKind::Vivt { ways: 8 },
+        L1DesignKind::Vespa,
+        L1DesignKind::BaselineMicroTag,
+    ] {
+        let cfg = RunConfig::paper("redis")
+            .design(design)
+            .instructions(400_000)
+            .cores(2)
+            .with_checker()
+            .with_faults(FaultConfig::all(SEED));
+        let run = || {
+            System::build(&cfg)
+                .unwrap()
+                .run()
+                .unwrap_or_else(|e| panic!("{design:?} 2-core seed {SEED:#x}: {e}"))
+        };
+        let a = run();
+        let checker = a.checker.as_ref().expect("checker was enabled");
+        assert_eq!(
+            checker.violations.total(),
+            0,
+            "{design:?}: violations on a correct simulator"
+        );
+        assert!(checker.loads_checked > 0);
+        let faults = a.faults.as_ref().expect("injector was attached");
+        assert!(
+            faults.total() > 0,
+            "{design:?}: injectors never fired ({faults:?})"
+        );
+        // Each core's own checker and injector did real work.
+        assert_eq!(a.cores.len(), 2);
+        for core in &a.cores {
+            let c = core.checker.as_ref().expect("per-core checker");
+            assert_eq!(
+                c.violations.total(),
+                0,
+                "{design:?}: core {} diverged",
+                core.core
+            );
+            assert!(
+                c.loads_checked > 0,
+                "{design:?}: core {} checker idle",
+                core.core
+            );
+        }
+        // Design-specific metric namespaces appear for exactly the
+        // designs that own them.
+        let has = |ns: &str| a.metrics.keys_under(ns).next().is_some();
+        assert_eq!(
+            has("vespa"),
+            design == L1DesignKind::Vespa,
+            "{design:?}: vespa.*"
+        );
+        assert_eq!(
+            has("vivt"),
+            matches!(design, L1DesignKind::Vivt { .. }),
+            "{design:?}: vivt.*"
+        );
+        assert_eq!(
+            has("l1.waypred"),
+            matches!(
+                design,
+                L1DesignKind::SeesawWithWayPrediction | L1DesignKind::BaselineMicroTag
+            ),
+            "{design:?}: l1.waypred.*"
+        );
+        let b = run();
+        assert_eq!(a.totals.cycles, b.totals.cycles, "{design:?}");
+        assert_eq!(a.faults, b.faults, "{design:?}");
+        assert_eq!(a.checker, b.checker, "{design:?}");
     }
-    let b = run();
-    assert_eq!(a.totals.cycles, b.totals.cycles);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.checker, b.checker);
 }
 
 /// The fault schedule is part of the reproducibility contract: the same

@@ -57,10 +57,11 @@ proptest! {
 }
 
 /// The drive functions for the dyn-vs-direct property. `drive_direct`
-/// monomorphizes per concrete design — every `access` is a static call,
-/// the pre-refactor enum path — while `drive_dyn` goes through the
-/// `&mut dyn L1DataCache` vtable exactly as `L1Flavor::as_dyn` does in
-/// the run loop. The property says the two are observably identical.
+/// monomorphizes per concrete design — every `access` is a static call —
+/// while `drive_dyn` goes through the `&mut dyn L1DataCache` vtable
+/// exactly as the run loop does through each core's
+/// `Box<dyn L1DataCache>`. The property says the two are observably
+/// identical.
 fn drive_direct<L: L1DataCache>(l1: &mut L, reqs: &[L1Request]) -> Vec<String> {
     reqs.iter().map(|r| format!("{:?}", l1.access(r))).collect()
 }
@@ -104,7 +105,7 @@ fn request_stream(picks: &[(u8, u16, bool)]) -> Vec<L1Request> {
 
 proptest! {
     /// Every design driven through the `dyn L1DataCache` vtable (the
-    /// run loop's `L1Flavor::as_dyn` path) produces exactly the
+    /// run loop's `Box<dyn L1DataCache>` path) produces exactly the
     /// outcomes and final stats of the same design driven through
     /// static dispatch, over random mixed superpage/base streams with
     /// interleaved coherence probes.

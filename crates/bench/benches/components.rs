@@ -1,11 +1,15 @@
 //! Criterion microbenchmarks of the hot data structures: the SEESAW L1
 //! lookup paths (Table I's cases), the TFT, the baseline cache, the TLB
 //! hierarchy, the partition decoder's way-mask selection, the buddy
-//! allocator, and the trace generator (per-reference and batched/packed).
+//! allocator, the trace generator (per-reference and batched/packed), and
+//! the per-cell copy of a prewarmed outer hierarchy (fresh clone vs. a
+//! buffer-reusing copy from the snapshot).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-use seesaw_cache::{CacheConfig, IndexPolicy, SetAssocCache, WayMask};
+use seesaw_cache::{
+    CacheConfig, IndexPolicy, OuterHierarchy, OuterHierarchyConfig, SetAssocCache, WayMask,
+};
 use seesaw_core::{
     BaselineL1, L1DataCache, L1Request, L1Timing, PartitionDecoder, SeesawConfig, SeesawL1,
     TranslationFilterTable,
@@ -109,6 +113,49 @@ fn bench_cache_array(c: &mut Criterion) {
     group.finish();
 }
 
+/// A Table II outer hierarchy (24 MB LLC) with a prefetcher, warmed by a
+/// mix of streaming and scattered lines over a 64 MB footprint, as the
+/// functional prewarm leaves it.
+fn warmed_outer() -> OuterHierarchy {
+    let mut outer = OuterHierarchy::with_prefetcher(OuterHierarchyConfig::table_ii(2.8), 4);
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    for i in 0..400_000u64 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let line = if i.is_multiple_of(4) {
+            i / 4
+        } else {
+            x % (1 << 20)
+        };
+        outer.access(line, i.is_multiple_of(3));
+    }
+    outer
+}
+
+fn bench_outer_copy(c: &mut Criterion) {
+    let mut group = c.benchmark_group("outer");
+    let snapshot = warmed_outer();
+
+    // What every cell paid before buffers were recycled: allocate, page
+    // in and copy ~6.7 MB, then free it at the end of the cell.
+    group.bench_function("clone", |b| {
+        b.iter(|| black_box(snapshot.clone()));
+    });
+
+    // The snapshot-hit path: overwrite a recycled buffer in place.
+    group.bench_function("reset_from_snapshot", |b| {
+        let mut buffer = OuterHierarchy::new(OuterHierarchyConfig::table_ii(4.0));
+        buffer.access(0x42, true);
+        b.iter(|| {
+            buffer.clone_from(black_box(&snapshot));
+            black_box(buffer.stats())
+        });
+    });
+
+    group.finish();
+}
+
 fn bench_partition(c: &mut Criterion) {
     c.bench_function("partition_way_mask_select", |b| {
         // 32 KB / 8-way / 64 B geometry with 2 partitions: the Fig. 4
@@ -193,6 +240,7 @@ criterion_group!(
     bench_baseline_l1,
     bench_tft,
     bench_cache_array,
+    bench_outer_copy,
     bench_partition,
     bench_tlb,
     bench_buddy,

@@ -72,7 +72,7 @@ impl OuterHierarchyConfig {
 /// assert_eq!(level, MemoryLevel::L2);
 /// assert_eq!(cycles, 12);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OuterHierarchy {
     config: OuterHierarchyConfig,
     l2: SetAssocCache,
@@ -111,6 +111,27 @@ impl OuterHierarchy {
             prefetcher: Some(StreamPrefetcher::new(degree)),
             ..Self::new(config)
         }
+    }
+
+    /// Empties the hierarchy in place for `config`, with a stream
+    /// prefetcher of `prefetch_degree` if one is given, reusing every
+    /// buffer: afterwards it is indistinguishable from
+    /// [`OuterHierarchy::new`] (no degree) or
+    /// [`OuterHierarchy::with_prefetcher`].
+    pub fn reset(&mut self, config: OuterHierarchyConfig, prefetch_degree: Option<usize>) {
+        self.config = config;
+        self.l2.reset(config.l2);
+        self.llc.reset(config.llc);
+        self.l2_sets = config.l2.sets();
+        self.llc_sets = config.llc.sets();
+        self.l2_mask = WayMask::all(config.l2.ways);
+        self.llc_mask = WayMask::all(config.llc.ways);
+        match (self.prefetcher.as_mut(), prefetch_degree) {
+            (Some(prefetcher), Some(degree)) => prefetcher.reset(degree),
+            (_, degree) => self.prefetcher = degree.map(StreamPrefetcher::new),
+        }
+        self.dram_accesses = 0;
+        self.writebacks_received = 0;
     }
 
     /// Prefetch statistics, if a prefetcher is attached.
@@ -196,9 +217,180 @@ impl OuterHierarchy {
     }
 }
 
+// Hand-written so `clone_from` reuses the L2/LLC line-state buffers and
+// the prefetcher's stream table (the derived impl reallocates — for the
+// Table II LLC that is ~6.7 MB to allocate and page in per copy). Both
+// methods destructure every field: a new field that is not copied is a
+// compile error.
+impl Clone for OuterHierarchy {
+    fn clone(&self) -> Self {
+        let Self {
+            config,
+            l2,
+            llc,
+            l2_sets,
+            llc_sets,
+            l2_mask,
+            llc_mask,
+            prefetcher,
+            dram_accesses,
+            writebacks_received,
+        } = self;
+        Self {
+            config: *config,
+            l2: l2.clone(),
+            llc: llc.clone(),
+            l2_sets: *l2_sets,
+            llc_sets: *llc_sets,
+            l2_mask: *l2_mask,
+            llc_mask: *llc_mask,
+            prefetcher: prefetcher.clone(),
+            dram_accesses: *dram_accesses,
+            writebacks_received: *writebacks_received,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            config,
+            l2,
+            llc,
+            l2_sets,
+            llc_sets,
+            l2_mask,
+            llc_mask,
+            prefetcher,
+            dram_accesses,
+            writebacks_received,
+        } = source;
+        self.config = *config;
+        self.l2.clone_from(l2);
+        self.llc.clone_from(llc);
+        self.l2_sets = *l2_sets;
+        self.llc_sets = *llc_sets;
+        self.l2_mask = *l2_mask;
+        self.llc_mask = *llc_mask;
+        self.prefetcher.clone_from(prefetcher);
+        self.dram_accesses = *dram_accesses;
+        self.writebacks_received = *writebacks_received;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ResidentLine;
+
+    /// Every observable of a hierarchy: counters, prefetch counters, the
+    /// resident lines of both levels, and the `(level, cycles)` outcome of
+    /// `probes` further accesses.
+    type Fingerprint = (
+        (CacheStats, CacheStats, u64, u64),
+        Option<crate::PrefetchStats>,
+        Vec<ResidentLine>,
+        Vec<ResidentLine>,
+        Vec<(MemoryLevel, u64)>,
+    );
+
+    fn fingerprint(mut outer: OuterHierarchy, probes: u64) -> Fingerprint {
+        let stats = outer.stats();
+        let prefetch = outer.prefetch_stats();
+        let l2 = outer.l2.resident_lines().collect();
+        let llc = outer.llc.resident_lines().collect();
+        let outcomes = (0..probes)
+            .map(|i| {
+                if i.is_multiple_of(97) {
+                    outer.writeback(traffic_line(i ^ 0x5a5a));
+                }
+                outer.access(traffic_line(i), i.is_multiple_of(5))
+            })
+            .collect();
+        (stats, prefetch, l2, llc, outcomes)
+    }
+
+    /// A deterministic line stream mixing unit-stride runs (which train
+    /// the streamer) with scattered lines (which miss to DRAM).
+    fn traffic_line(i: u64) -> u64 {
+        if i.is_multiple_of(3) {
+            i.wrapping_mul(0x9e37_79b9) % (1 << 22)
+        } else {
+            0x4000 + i / 3
+        }
+    }
+
+    /// A hierarchy warmed by `refs` accesses of the traffic stream.
+    fn warmed(config: OuterHierarchyConfig, degree: Option<usize>, refs: u64) -> OuterHierarchy {
+        let mut outer = fresh(config, degree);
+        for i in 0..refs {
+            outer.access(traffic_line(i.wrapping_mul(7) + 11), i.is_multiple_of(4));
+            if i.is_multiple_of(13) {
+                outer.writeback(traffic_line(i + 3));
+            }
+        }
+        outer
+    }
+
+    fn fresh(config: OuterHierarchyConfig, degree: Option<usize>) -> OuterHierarchy {
+        match degree {
+            Some(d) => OuterHierarchy::with_prefetcher(config, d),
+            None => OuterHierarchy::new(config),
+        }
+    }
+
+    /// `clone_from` into a dirty buffer of a different configuration —
+    /// other frequency, prefetcher toggled or re-degreed — and a plain
+    /// `clone` are both the same hierarchy as the (deterministically
+    /// rebuilt) source.
+    #[test]
+    fn clone_from_a_dirty_buffer_equals_clone() {
+        let slow = OuterHierarchyConfig::table_ii(1.33);
+        let fast = OuterHierarchyConfig::table_ii(4.0);
+        let small = OuterHierarchyConfig::small();
+        let cases = [
+            (slow, Some(4), fast, None),
+            (slow, None, fast, Some(2)),
+            (fast, Some(2), slow, Some(8)),
+            (small, None, slow, Some(4)),
+            (slow, Some(4), small, None),
+        ];
+        for (src_cfg, src_pf, dst_cfg, dst_pf) in cases {
+            let source = warmed(src_cfg, src_pf, 30_000);
+            let mut buffer = warmed(dst_cfg, dst_pf, 20_000);
+            buffer.clone_from(&source);
+            let label = format!("{src_pf:?} into {dst_pf:?}");
+            assert_eq!(buffer.config(), source.config(), "{label}");
+            let expected = fingerprint(warmed(src_cfg, src_pf, 30_000), 10_000);
+            assert_eq!(fingerprint(buffer, 10_000), expected, "{label}");
+            assert_eq!(fingerprint(source.clone(), 10_000), expected, "{label}");
+        }
+    }
+
+    /// `reset` of a dirty buffer is the same hierarchy as a fresh
+    /// `new`/`with_prefetcher`, across configuration changes.
+    #[test]
+    fn reset_equals_a_fresh_hierarchy() {
+        let slow = OuterHierarchyConfig::table_ii(1.33);
+        let fast = OuterHierarchyConfig::table_ii(4.0);
+        let small = OuterHierarchyConfig::small();
+        let cases = [
+            (slow, Some(4), fast, None),
+            (slow, None, fast, Some(2)),
+            (fast, Some(2), fast, Some(8)),
+            (slow, Some(4), small, Some(4)),
+            (small, None, slow, None),
+        ];
+        for (dirty_cfg, dirty_pf, cfg, pf) in cases {
+            let mut buffer = warmed(dirty_cfg, dirty_pf, 20_000);
+            buffer.reset(cfg, pf);
+            let label = format!("{dirty_pf:?} reset to {pf:?}");
+            assert_eq!(buffer.config(), &cfg, "{label}");
+            assert_eq!(
+                fingerprint(buffer, 10_000),
+                fingerprint(fresh(cfg, pf), 10_000),
+                "{label}"
+            );
+        }
+    }
 
     #[test]
     fn miss_path_descends_and_fills() {

@@ -50,7 +50,7 @@ impl Collect for PrefetchStats {
 /// let ahead = pf.observe(102);
 /// assert_eq!(ahead, vec![103, 104, 105, 106]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StreamPrefetcher {
     degree: usize,
     streams: HashMap<u64, Stream>,
@@ -78,6 +78,20 @@ impl StreamPrefetcher {
             clock: 0,
             stats: PrefetchStats::default(),
         }
+    }
+
+    /// Empties the prefetcher in place with a new `degree`, keeping the
+    /// stream table's allocation: afterwards it is indistinguishable from
+    /// [`StreamPrefetcher::new`].
+    ///
+    /// # Panics
+    /// Panics if `degree` is zero.
+    pub fn reset(&mut self, degree: usize) {
+        assert!(degree > 0, "degree must be positive");
+        self.degree = degree;
+        self.streams.clear();
+        self.clock = 0;
+        self.stats = PrefetchStats::default();
     }
 
     /// Observes a demand-miss line address and returns the lines to
@@ -144,6 +158,39 @@ impl StreamPrefetcher {
     }
 }
 
+// Hand-written so `clone_from` reuses the stream table (the derived
+// impl reallocates). Both methods destructure every field: a new field
+// that is not copied is a compile error.
+impl Clone for StreamPrefetcher {
+    fn clone(&self) -> Self {
+        let Self {
+            degree,
+            streams,
+            clock,
+            stats,
+        } = self;
+        Self {
+            degree: *degree,
+            streams: streams.clone(),
+            clock: *clock,
+            stats: *stats,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            degree,
+            streams,
+            clock,
+            stats,
+        } = source;
+        self.degree = *degree;
+        self.streams.clone_from(streams);
+        self.clock = *clock;
+        self.stats = *stats;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +239,27 @@ mod tests {
             pf.observe(region * 64);
         }
         assert!(pf.streams.len() <= StreamPrefetcher::MAX_STREAMS);
+    }
+
+    #[test]
+    fn reset_and_clone_from_match_new_and_clone() {
+        let mut dirty = StreamPrefetcher::new(2);
+        for line in [10u64, 11, 12, 500, 501, 502, 503] {
+            dirty.observe(line);
+        }
+        dirty.reset(3);
+        let mut fresh = StreamPrefetcher::new(3);
+        assert_eq!(dirty.stats(), fresh.stats());
+        for line in [10u64, 11, 12, 13, 200, 201, 202] {
+            assert_eq!(dirty.observe(line), fresh.observe(line), "line {line}");
+        }
+        let mut source = StreamPrefetcher::new(1);
+        for line in [40u64, 41, 42] {
+            source.observe(line);
+        }
+        dirty.clone_from(&source);
+        assert_eq!(dirty.stats(), source.stats());
+        assert_eq!(dirty.observe(43), vec![44]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Both reduce to LRU-victim-within-a-mask, which this tracker provides.
 
 /// Per-set true-LRU state over `ways` ways.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LruTracker {
     ways: usize,
     /// Recency stamps: higher = more recent, per `set × way`.
@@ -26,6 +26,20 @@ impl LruTracker {
             stamps: vec![0; sets * ways],
             clock: 0,
         }
+    }
+
+    /// Empties the tracker in place for `sets × ways`, reusing the stamp
+    /// buffer: afterwards it is indistinguishable from
+    /// [`LruTracker::new`].
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero.
+    pub fn reset(&mut self, sets: usize, ways: usize) {
+        assert!(sets > 0 && ways > 0, "dimensions must be positive");
+        self.ways = ways;
+        self.stamps.clear();
+        self.stamps.resize(sets * ways, 0);
+        self.clock = 0;
     }
 
     /// Marks a way as most-recently used.
@@ -78,6 +92,35 @@ impl LruTracker {
     }
 }
 
+// Hand-written so `clone_from` reuses the stamp buffer (the derived
+// impl reallocates). Both methods destructure every field: a new field
+// that is not copied is a compile error.
+impl Clone for LruTracker {
+    fn clone(&self) -> Self {
+        let Self {
+            ways,
+            stamps,
+            clock,
+        } = self;
+        Self {
+            ways: *ways,
+            stamps: stamps.clone(),
+            clock: *clock,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            ways,
+            stamps,
+            clock,
+        } = source;
+        self.ways = *ways;
+        self.stamps.clone_from(stamps);
+        self.clock = *clock;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +159,28 @@ mod tests {
         assert_eq!(lru.mru(0, 0b0111), Some(2));
         // Sets are independent.
         assert_eq!(lru.mru(1, 0b1111), None);
+    }
+
+    #[test]
+    fn reset_and_clone_from_reuse_the_buffer_exactly() {
+        let mut dirty = LruTracker::new(8, 8);
+        for i in 0..40 {
+            dirty.touch(i % 8, (i * 3) % 8);
+        }
+        // `reset` to another geometry is a fresh tracker: no stale stamp
+        // survives to be reported by `mru`.
+        dirty.reset(2, 4);
+        let fresh = LruTracker::new(2, 4);
+        for set in 0..2 {
+            assert_eq!(dirty.mru(set, 0b1111), fresh.mru(set, 0b1111));
+            assert_eq!(dirty.victim(set, 0b1111), fresh.victim(set, 0b1111));
+        }
+        // `clone_from` into it is the source, stamps and clock alike.
+        let mut source = LruTracker::new(4, 8);
+        source.touch(3, 5);
+        source.touch(1, 2);
+        dirty.clone_from(&source);
+        assert_eq!(format!("{dirty:?}"), format!("{source:?}"));
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub struct ResidentLine {
 /// as an empty slot.
 ///
 /// See the crate-level example for typical use.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
     ways: usize,
@@ -150,6 +150,20 @@ impl SetAssocCache {
             lru: LruTracker::new(sets, config.ways),
             stats: CacheStats::default(),
         }
+    }
+
+    /// Empties the cache in place for `config`, reusing its buffers:
+    /// afterwards it is indistinguishable from [`SetAssocCache::new`].
+    pub fn reset(&mut self, config: CacheConfig) {
+        let slots = config.sets() * config.ways;
+        self.config = config;
+        self.ways = config.ways;
+        self.ptags.clear();
+        self.ptags.resize(slots, 0);
+        self.coh.clear();
+        self.coh.resize(slots, MoesiState::Invalid);
+        self.lru.reset(config.sets(), config.ways);
+        self.stats = CacheStats::default();
     }
 
     /// The cache's geometry.
@@ -377,6 +391,47 @@ impl SetAssocCache {
     }
 }
 
+// Hand-written so `clone_from` reuses the line-state buffers (the
+// derived impl reallocates). Both methods destructure every field: a
+// new field that is not copied is a compile error.
+impl Clone for SetAssocCache {
+    fn clone(&self) -> Self {
+        let Self {
+            config,
+            ways,
+            ptags,
+            coh,
+            lru,
+            stats,
+        } = self;
+        Self {
+            config: *config,
+            ways: *ways,
+            ptags: ptags.clone(),
+            coh: coh.clone(),
+            lru: lru.clone(),
+            stats: *stats,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            config,
+            ways,
+            ptags,
+            coh,
+            lru,
+            stats,
+        } = source;
+        self.config = *config;
+        self.ways = *ways;
+        self.ptags.clone_from(ptags);
+        self.coh.clone_from(coh);
+        self.lru.clone_from(lru);
+        self.stats = *stats;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +567,32 @@ mod tests {
         assert_eq!(evicted.len(), 2);
         assert!(evicted.iter().any(|e| e.dirty));
         assert_eq!(c.valid_lines(), 1);
+    }
+
+    #[test]
+    fn reset_and_clone_from_match_new_and_clone() {
+        let all = WayMask::all(8);
+        let mut dirty = cache_32k();
+        for i in 0..600u64 {
+            let set = (i % 64) as usize;
+            if dirty.peek(set, i, all).is_none() {
+                dirty.fill(set, i, all, i.is_multiple_of(3));
+            }
+        }
+        // Reset to another geometry: exactly a new cache (the Debug form
+        // covers tags, states, LRU stamps and counters).
+        let small = CacheConfig::new(8 << 10, 4, 64, IndexPolicy::Pipt);
+        dirty.reset(small);
+        assert_eq!(
+            format!("{dirty:?}"),
+            format!("{:?}", SetAssocCache::new(small))
+        );
+        // Copy a populated cache of the original geometry into it.
+        let mut source = cache_32k();
+        source.fill(5, 0x77, all, true);
+        source.read(5, 0x77, all);
+        dirty.clone_from(&source);
+        assert_eq!(format!("{dirty:?}"), format!("{:?}", source.clone()));
     }
 
     #[test]

@@ -151,7 +151,7 @@ pub(crate) fn memory_image_key(config: &RunConfig) -> String {
 /// workloads times a handful of frequencies before moving on.
 const MEMORY_IMAGE_CAP: usize = 32;
 pub(crate) const STREAM_CACHE_CAP: usize = 32;
-pub(crate) const WARM_OUTER_CAP: usize = 24;
+const WARM_OUTER_CAP: usize = 24;
 
 fn memory_images() -> &'static Mutex<HashMap<String, MemoryImage>> {
     static CACHE: OnceLock<Mutex<HashMap<String, MemoryImage>>> = OnceLock::new();
@@ -173,16 +173,141 @@ pub(crate) fn stream_cache() -> &'static Mutex<HashMap<String, StreamArtifact>> 
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Prewarmed outer hierarchies (L2 + LLC + prefetcher state after the
-/// functional prewarm), keyed by everything the prewarm traffic depends
-/// on: the memory image (translations), core count, reference count,
-/// frequency (outer timing config), and prefetch degree. L1 geometry
-/// and design are deliberately absent — prewarm bypasses the L1, which
-/// is what makes one warmed image servable to every design cell of a
-/// figure row.
-pub(crate) fn warm_outer_cache() -> &'static Mutex<HashMap<String, OuterHierarchy>> {
-    static CACHE: OnceLock<Mutex<HashMap<String, OuterHierarchy>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// Spare outer-hierarchy buffers kept for reuse. One per concurrently
+/// running cell is enough for the pool to serve every cell after the
+/// first few; the cap bounds what a burst of snapshot evictions can pin.
+const WARM_OUTER_SPARES: usize = 4;
+
+/// The warm-outer artifact cache: prewarmed outer hierarchies (L2, LLC
+/// and prefetcher state after the functional prewarm) plus a bounded
+/// pool of spare buffers to copy them into.
+///
+/// Snapshots are keyed by everything the prewarm traffic depends on:
+/// the memory image (translations), core count, reference count,
+/// frequency (outer timing config), and prefetch degree. L1 geometry and
+/// design are deliberately absent — prewarm bypasses the L1, which is
+/// what makes one warmed image servable to every design cell of a figure
+/// row.
+///
+/// A cell's buffer comes out of `spares` in [`System::build`] and goes
+/// back at the end of its run, so in steady state no cell allocates or
+/// pages in the ~6.7 MB of a Table II hierarchy just to copy a snapshot
+/// (see [`prewarm_outer`]).
+#[derive(Default)]
+struct WarmOuter {
+    snapshots: HashMap<String, Arc<OuterHierarchy>>,
+    spares: Vec<OuterHierarchy>,
+}
+
+impl WarmOuter {
+    fn recycle(&mut self, outer: OuterHierarchy) {
+        if self.spares.len() < WARM_OUTER_SPARES {
+            self.spares.push(outer);
+        }
+    }
+}
+
+fn warm_outer_cache() -> &'static Mutex<WarmOuter> {
+    static CACHE: OnceLock<Mutex<WarmOuter>> = OnceLock::new();
+    CACHE.get_or_init(Mutex::default)
+}
+
+/// Table II's outer hierarchy at the configured frequency.
+fn outer_config(config: &RunConfig) -> OuterHierarchyConfig {
+    OuterHierarchyConfig::table_ii(config.frequency.ghz())
+}
+
+/// An outer-hierarchy buffer from the pool: a recycled spare when one is
+/// left, else a fresh, empty allocation for `config`. The flag says
+/// which — a recycled buffer still holds an earlier cell's state.
+fn checkout_outer(config: &RunConfig) -> (OuterHierarchy, bool) {
+    let spare = warm_outer_cache()
+        .lock()
+        .expect("warm outer lock")
+        .spares
+        .pop();
+    match spare {
+        Some(outer) => (outer, true),
+        None => {
+            let outer_cfg = outer_config(config);
+            let outer = match config.prefetch_degree {
+                Some(degree) => OuterHierarchy::with_prefetcher(outer_cfg, degree),
+                None => OuterHierarchy::new(outer_cfg),
+            };
+            (outer, false)
+        }
+    }
+}
+
+/// Returns a finished cell's outer hierarchy to the spare pool.
+pub(crate) fn checkin_outer(outer: OuterHierarchy) {
+    warm_outer_cache()
+        .lock()
+        .expect("warm outer lock")
+        .recycle(outer);
+}
+
+/// Where a cell's prewarmed outer hierarchy came from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PrewarmSource {
+    /// Copied from an interned snapshot.
+    Snapshot,
+    /// Warmed from empty by this cell (and interned as the snapshot).
+    Cold,
+}
+
+/// Stage 2 of the prewarm: overwrites the cell's buffer `outer` (from
+/// [`System::build`], whatever it held) with the warmed outer state for
+/// `key`.
+///
+/// On a snapshot hit that is one buffer-reusing `clone_from`. On a miss
+/// a second pool buffer — `reset` first if it is a recycled spare; a
+/// fresh one is already empty — is handed to `warm`, copied into
+/// `outer`, and interned as the snapshot. Warming the buffer that
+/// becomes the snapshot, rather than copying the cell's buffer into a
+/// new one, means a fresh allocation is paged in only where the warm
+/// touches it. Copies run outside the lock, so concurrent cells only
+/// serialize on the map and pool bookkeeping.
+pub(crate) fn prewarm_outer(
+    config: &RunConfig,
+    key: String,
+    outer: &mut OuterHierarchy,
+    warm: impl FnOnce(&mut OuterHierarchy),
+) -> PrewarmSource {
+    let snapshot = warm_outer_cache()
+        .lock()
+        .expect("warm outer lock")
+        .snapshots
+        .get(&key)
+        .cloned();
+    if let Some(snapshot) = snapshot {
+        outer.clone_from(&snapshot);
+        return PrewarmSource::Snapshot;
+    }
+    let (mut warmed, recycled) = checkout_outer(config);
+    if recycled {
+        warmed.reset(outer_config(config), config.prefetch_degree);
+    }
+    warm(&mut warmed);
+    outer.clone_from(&warmed);
+    let mut cache = warm_outer_cache().lock().expect("warm outer lock");
+    if cache.snapshots.len() >= WARM_OUTER_CAP {
+        // Evicted snapshots feed the spare pool; one still being copied
+        // by another cell is dropped when that copy finishes.
+        let evicted: Vec<_> = cache.snapshots.drain().map(|(_, s)| s).collect();
+        for snapshot in evicted {
+            if let Ok(outer) = Arc::try_unwrap(snapshot) {
+                cache.recycle(outer);
+            }
+        }
+    }
+    if let Some(replaced) = cache.snapshots.insert(key, Arc::new(warmed)) {
+        // Another cell warmed the same key concurrently; both are equal.
+        if let Ok(outer) = Arc::try_unwrap(replaced) {
+            cache.recycle(outer);
+        }
+    }
+    PrewarmSource::Cold
 }
 
 /// Interned [`build_memory_image`]: clones a cached image when one
@@ -343,11 +468,10 @@ impl System {
             DirectoryController::new(n, geometry, mode, cores[0].l1.probe_ways())
         });
 
-        let outer_cfg = OuterHierarchyConfig::table_ii(config.frequency.ghz());
-        let outer = match config.prefetch_degree {
-            Some(degree) => OuterHierarchy::with_prefetcher(outer_cfg, degree),
-            None => OuterHierarchy::new(outer_cfg),
-        };
+        // The prewarm stage overwrites this buffer whatever it holds, so
+        // build only checks one out: no cell pays for an allocation it
+        // then drops.
+        let (outer, _) = checkout_outer(config);
         let account = EnergyAccount::new(EnergyModel::new(sram), config.l1_size_kb, total_ways);
 
         Ok(System {

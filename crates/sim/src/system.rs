@@ -21,8 +21,8 @@ use seesaw_trace::{
 use seesaw_workloads::TraceRef;
 
 use crate::build::{
-    memory_image_key, stream_cache, warm_outer_cache, StreamArtifact, STREAM_CACHE_CAP,
-    WARM_OUTER_CAP,
+    checkin_outer, memory_image_key, prewarm_outer, stream_cache, PrewarmSource, StreamArtifact,
+    STREAM_CACHE_CAP,
 };
 use crate::core::Core;
 use crate::status::{ActiveProgress, NoProgress, Progress};
@@ -255,7 +255,7 @@ impl System {
         // no directory). The warmed outer state is interned by memory
         // image × cores × count × frequency × prefetch — the L1 plays no
         // part here, so one warmed image serves every L1 size and design
-        // cell of a figure row as a straight clone.
+        // cell of a figure row, copied into this cell's recycled buffer.
         let wkey = format!(
             "{}|{}|{}|{:?}|{:?}",
             memory_image_key(&self.config),
@@ -264,32 +264,26 @@ impl System {
             self.config.frequency,
             self.config.prefetch_degree
         );
-        let warmed = warm_outer_cache()
-            .lock()
-            .expect("warm outer lock")
-            .get(&wkey)
-            .cloned();
-        match warmed {
-            Some(outer) => self.uncore.outer = outer,
-            None => {
-                for i in 0..n {
-                    let stream = self.cores[i].replay.clone();
-                    for &word in stream.iter() {
-                        let r = TraceRef::unpack(word);
-                        let va = self.uncore.vma.base().offset(r.offset);
-                        if let Some(t) = self.cores[i].translate_cached(&self.uncore.space, va) {
-                            self.uncore.outer.access(t.pa.raw() / 64, r.is_write);
-                        }
+        let cores = &mut self.cores;
+        let Uncore {
+            space, vma, outer, ..
+        } = &mut self.uncore;
+        let source = prewarm_outer(&self.config, wkey, outer, |outer| {
+            for core in cores.iter_mut() {
+                let stream = core.replay.clone();
+                for &word in stream.iter() {
+                    let r = TraceRef::unpack(word);
+                    let va = vma.base().offset(r.offset);
+                    if let Some(t) = core.translate_cached(space, va) {
+                        outer.access(t.pa.raw() / 64, r.is_write);
                     }
                 }
-                let mut cache = warm_outer_cache().lock().expect("warm outer lock");
-                if cache.len() >= WARM_OUTER_CAP {
-                    cache.clear();
-                }
-                cache.insert(wkey, self.uncore.outer.clone());
             }
-        }
-        phase_mark("prewarm");
+        });
+        phase_mark(match source {
+            PrewarmSource::Snapshot => "prewarm snapshot",
+            PrewarmSource::Cold => "prewarm cold",
+        });
 
         let warmup = self
             .config
@@ -326,7 +320,7 @@ impl System {
             &mut NullSink,
             &mut progress,
         ) {
-            return Err(self.attach_repro(e, &sink));
+            return Err(self.fail(e, &sink));
         }
 
         phase_mark("warmup");
@@ -378,7 +372,7 @@ impl System {
                     &mut sink,
                     &mut progress,
                 ) {
-                    return Err(self.attach_repro(e, &sink));
+                    return Err(self.fail(e, &sink));
                 }
                 cpus.iter().map(CpuModel::totals).collect()
             }
@@ -395,7 +389,7 @@ impl System {
                     &mut sink,
                     &mut progress,
                 ) {
-                    return Err(self.attach_repro(e, &sink));
+                    return Err(self.fail(e, &sink));
                 }
                 cpus.iter().map(CpuModel::totals).collect()
             }
@@ -587,6 +581,7 @@ impl System {
             coherence,
             cores: core_results,
         };
+        checkin_outer(self.uncore.outer);
         Ok(result)
     }
 
@@ -594,6 +589,15 @@ impl System {
     /// running — Fig. 3 only needs this).
     pub fn superpage_coverage(&self) -> f64 {
         self.uncore.space.superpage_coverage()
+    }
+
+    /// Ends a failed run: attaches a repro bundle when the error
+    /// qualifies (see [`System::attach_repro`]) and returns the outer
+    /// hierarchy's buffer to the spare pool, as a successful run does.
+    fn fail<S: Sink>(self, err: SimError, sink: &S) -> SimError {
+        let err = self.attach_repro(err, sink);
+        checkin_outer(self.uncore.outer);
+        err
     }
 
     /// Packages a checker violation into a [`crate::ReproBundle`] and

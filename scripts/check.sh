@@ -15,6 +15,9 @@ cargo test -q --workspace
 echo "==> figure digests: every figure driver's stdout at budget 20000 matches results/digests.txt"
 scripts/digests.sh --check
 
+echo "==> figure digests at 2 workers: concurrent cells share the warm-outer snapshots and spare buffers"
+env SEESAW_THREADS=2 scripts/digests.sh --check
+
 echo "==> benchmark harness (simbench): build + tests, incl. replay-vs-System::run equivalence"
 cargo test --release --offline --manifest-path simbench/Cargo.toml
 

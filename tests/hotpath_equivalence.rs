@@ -11,12 +11,13 @@
 use proptest::prelude::*;
 
 use seesaw_cache::{CacheConfig, IndexPolicy};
+use seesaw_check::{ChaosConfig, FaultConfig};
 use seesaw_core::{
     BaselineL1, L1DataCache, L1Request, L1Timing, MicroTagConfig, MicroTagL1, SeesawConfig,
     SeesawL1, VespaConfig, VespaL1, VivtL1,
 };
 use seesaw_mem::{PageSize, PhysAddr, VirtAddr};
-use seesaw_sim::{L1DesignKind, RunConfig, System};
+use seesaw_sim::{Frequency, L1DesignKind, RunConfig, System};
 use seesaw_workloads::{catalog, TraceGenerator, TraceRef};
 
 proptest! {
@@ -226,6 +227,129 @@ proptest! {
                 "cores = {}: warm-cache run diverged from cold run",
                 cores
             );
+        }
+    }
+}
+
+/// The fixed configuration set of the order-independence property:
+/// prefetch on and off, two frequencies, one and two cores, memhog
+/// pressure — distinct prewarm keys that share outer-hierarchy buffers —
+/// plus one cell that fails (a planted checker violation), so a buffer
+/// also comes back from the error path.
+fn order_cells() -> Vec<RunConfig> {
+    let base = |name: &str| RunConfig::quick(name).instructions(20_000);
+    let mut prefetch4 = base("mcf");
+    prefetch4.prefetch_degree = Some(4);
+    let mut prefetch2_fast = base("mcf").frequency(Frequency::F4_00);
+    prefetch2_fast.prefetch_degree = Some(2);
+    let mut two_core_prefetch = base("redis").cores(2);
+    two_core_prefetch.prefetch_degree = Some(4);
+    let chaos = ChaosConfig {
+        drop_tft_invalidation_on_splinter: true,
+        ..ChaosConfig::default()
+    };
+    let failing = RunConfig::quick("redis")
+        .instructions(400_000)
+        .design(L1DesignKind::Seesaw)
+        .with_checker()
+        .with_faults(
+            FaultConfig::all(0xfa17_5eed)
+                .mean_interval(2_000)
+                .chaos(chaos),
+        );
+    vec![
+        base("mcf"),
+        prefetch4,
+        prefetch2_fast,
+        base("mcf")
+            .frequency(Frequency::F2_80)
+            .design(L1DesignKind::Seesaw),
+        base("redis").cores(2),
+        two_core_prefetch,
+        base("olio").memhog(60),
+        failing,
+    ]
+}
+
+/// One outcome of a whole-system run, as its exhaustive Debug form.
+fn run_outcome(cfg: &RunConfig) -> String {
+    let system = System::build(cfg).unwrap_or_else(|e| panic!("build: {e}"));
+    format!("{:?}", system.run())
+}
+
+/// A seeded Fisher–Yates shuffle (splitmix64 draws).
+fn shuffled<T>(mut items: Vec<T>, mut seed: u64) -> Vec<T> {
+    for i in (1..items.len()).rev() {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        items.swap(i, (z % (i as u64 + 1)) as usize);
+    }
+    items
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Every cell's result is independent of which cells ran before it
+    /// in the process: one fixed configuration set, run in two seeded
+    /// orders, gives each configuration a `Debug`-identical `RunResult`
+    /// (or error) every time it runs. Each configuration runs twice per
+    /// order, so a snapshot miss (a warm from empty into a recycled
+    /// buffer) and a snapshot hit (a copy into one) both land after
+    /// varying predecessors; between the orders, a burst of short
+    /// filler cells with distinct prewarm keys overflows the warm-outer
+    /// cache, so the second order warms its cells from empty again.
+    /// This pins the rule that a recycled outer-hierarchy buffer never
+    /// leaks state across snapshot keys, geometries or error paths.
+    #[test]
+    fn results_are_independent_of_cell_order(
+        first in any::<u64>(),
+        second in any::<u64>(),
+    ) {
+        let cells = order_cells();
+        let twice: Vec<usize> = (0..cells.len()).chain(0..cells.len()).collect();
+        let mut outcomes: Vec<Vec<String>> = vec![Vec::new(); cells.len()];
+        for (pass, seed) in [first, second].into_iter().enumerate() {
+            if pass > 0 {
+                for extra in 0..40 {
+                    let filler = RunConfig::quick("astar").instructions(1_000 + extra);
+                    System::build(&filler)
+                        .unwrap_or_else(|e| panic!("build: {e}"))
+                        .run()
+                        .unwrap_or_else(|e| panic!("filler run: {e}"));
+                }
+            }
+            for i in shuffled(twice.clone(), seed) {
+                outcomes[i].push(run_outcome(&cells[i]));
+            }
+        }
+        prop_assert!(
+            outcomes[cells.len() - 1][0].starts_with("Err("),
+            "the chaos cell must fail"
+        );
+        for (cfg, runs) in cells.iter().zip(&outcomes) {
+            // A buffer recycled from a prefetch-free cell must still come
+            // out of the prewarm with the configured prefetcher.
+            prop_assert_eq!(
+                runs[0].contains("outer.prefetch.issued"),
+                cfg.prefetch_degree.is_some(),
+                "{:?}: prefetcher presence",
+                cfg.prefetch_degree
+            );
+        }
+        for (i, runs) in outcomes.iter().enumerate() {
+            for (k, run) in runs.iter().enumerate().skip(1) {
+                prop_assert_eq!(
+                    &runs[0],
+                    run,
+                    "configuration {} diverged on its run {}",
+                    i,
+                    k
+                );
+            }
         }
     }
 }

@@ -1,19 +1,22 @@
 //! Criterion microbenchmarks of the hot data structures: the SEESAW L1
 //! lookup paths (Table I's cases), the TFT, the baseline cache, the TLB
 //! hierarchy, the partition decoder's way-mask selection, the buddy
-//! allocator, the trace generator (per-reference and batched/packed), and
-//! the per-cell copy of a prewarmed outer hierarchy (fresh clone vs. a
-//! buffer-reusing copy from the snapshot).
+//! allocator, the trace generator (per-reference and batched/packed), the
+//! per-cell copy of a prewarmed outer hierarchy (fresh clone vs. a
+//! buffer-reusing copy from the snapshot), the L1 lookup energy charge,
+//! and one 4-core directory transaction stream.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use seesaw_cache::{
     CacheConfig, IndexPolicy, OuterHierarchy, OuterHierarchyConfig, SetAssocCache, WayMask,
 };
+use seesaw_coherence::{CoherenceMode, DirectoryController};
 use seesaw_core::{
     BaselineL1, L1DataCache, L1Request, L1Timing, PartitionDecoder, SeesawConfig, SeesawL1,
     TranslationFilterTable,
 };
+use seesaw_energy::{EnergyAccount, EnergyModel, SramModel};
 use seesaw_mem::{
     AddressSpace, BuddyAllocator, PageSize, PhysAddr, PhysicalMemory, ThpPolicy, VirtAddr,
 };
@@ -234,6 +237,42 @@ fn bench_trace_generator(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_energy(c: &mut Criterion) {
+    let mut group = c.benchmark_group("energy");
+
+    // One CPU-side charge per reference: a read of the per-cell table.
+    group.bench_function("cpu_lookup", |b| {
+        let model = EnergyModel::new(SramModel::tsmc28_scaled_22nm());
+        let mut account = EnergyAccount::new(model, 32, 8);
+        b.iter(|| account.cpu_lookup(black_box(4)));
+        black_box(account.finish(0.0));
+    });
+
+    group.finish();
+}
+
+fn bench_coherence(c: &mut Criterion) {
+    let mut group = c.benchmark_group("coherence");
+
+    // Four cores sharing a 4096-line footprint (twice one L1), one write
+    // in four: misses, upgrades and probes of every kind.
+    group.bench_function("directory_access_4core", |b| {
+        let cfg = CacheConfig::new(32 << 10, 8, 64, IndexPolicy::Vipt);
+        let mut dir = DirectoryController::new(4, cfg, CoherenceMode::Directory, 4);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        b.iter(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let core = (x & 3) as usize;
+            let ptag = (x >> 2) % 4096;
+            black_box(dir.access(core, ptag, x >> 62 == 0))
+        });
+    });
+
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_seesaw_l1,
@@ -244,6 +283,8 @@ criterion_group!(
     bench_partition,
     bench_tlb,
     bench_buddy,
-    bench_trace_generator
+    bench_trace_generator,
+    bench_energy,
+    bench_coherence
 );
 criterion_main!(benches);

@@ -71,7 +71,7 @@ fn run(size: PageSize, refs: u64) -> (f64, f64, f64, f64) {
         if lookup.level == seesaw_tlb::TlbLevel::L1 {
             tlb_l1_hits += 1;
         }
-        for page in &lookup.superpage_l1_fills {
+        if let Some(page) = lookup.superpage_l1_fills {
             l1.tft_fill(page.base());
         }
         let out = l1.access(&L1Request {

@@ -74,7 +74,7 @@ fn run(config: IFetchConfig, seesaw: bool, fetches: u64) -> (f64, f64, f64, f64)
             is_write: false,
         };
         let out: L1AccessOutcome = if seesaw {
-            for page in &lookup.superpage_l1_fills {
+            if let Some(page) = lookup.superpage_l1_fills {
                 seesaw_l1.tft_fill(page.base());
             }
             let out = seesaw_l1.access(&req);

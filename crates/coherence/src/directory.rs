@@ -1,12 +1,11 @@
 //! A functional multi-core directory (and snoopy) coherence controller
 //! over real L1 cache arrays.
 //!
-//! The directory tracks sharers per physical line and forwards probes only
-//! to caches that hold the line; the snoopy variant broadcasts every
-//! transaction to all peers. The difference in probe counts is what makes
-//! SEESAW's savings 2–5 % larger under snooping (§VI-B).
-
-use std::collections::HashMap;
+//! The directory forwards probes only to caches that hold the line — it
+//! reads presence straight from the per-core functional arrays, which
+//! are exact — while the snoopy variant broadcasts every transaction to
+//! all peers. The difference in probe counts is what makes SEESAW's
+//! savings 2–5 % larger under snooping (§VI-B).
 
 use seesaw_cache::{CacheConfig, MoesiState, SetAssocCache, WayMask};
 use seesaw_trace::{Collect, MetricsRegistry};
@@ -16,7 +15,7 @@ use crate::protocol;
 /// Directory-based or broadcast (snoopy) probe delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceMode {
-    /// Probes go only to caches the directory lists as sharers.
+    /// Probes go only to the caches that hold the line.
     Directory,
     /// Every transaction probes every peer cache.
     Snoopy,
@@ -77,14 +76,9 @@ pub struct Transaction {
     /// True when the requester's own cache satisfied the access with no
     /// coherence transaction (read hit, or silent write to M/E).
     pub local_hit: bool,
-    /// Probes delivered to peer cores (empty on local hits).
+    /// Probes delivered to peer cores in ascending core order (empty on
+    /// local hits).
     pub probes: Vec<ProbeDelivery>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct DirEntry {
-    /// Cores holding the line.
-    sharers: Vec<usize>,
 }
 
 /// A multi-core coherence controller.
@@ -110,9 +104,9 @@ struct DirEntry {
 pub struct DirectoryController {
     caches: Vec<SetAssocCache>,
     config: CacheConfig,
+    sets: usize,
     mode: CoherenceMode,
     probe_ways_per_lookup: usize,
-    directory: HashMap<u64, DirEntry>,
     stats: CoherenceStats,
 }
 
@@ -136,9 +130,9 @@ impl DirectoryController {
         Self {
             caches: (0..cores).map(|_| SetAssocCache::new(config)).collect(),
             config,
+            sets: config.sets(),
             mode,
             probe_ways_per_lookup,
-            directory: HashMap::new(),
             stats: CoherenceStats::default(),
         }
     }
@@ -157,7 +151,7 @@ impl DirectoryController {
     /// Routes one reference through the coherence machinery and returns
     /// the probes it delivered, so callers can replay them against the
     /// per-core *timing* L1s. Misses and upgrades are transactions; the
-    /// directory mode probes recorded sharers, the snoopy mode
+    /// directory mode probes the peers holding the line, the snoopy mode
     /// broadcasts to every peer.
     pub fn access(&mut self, core: usize, ptag: u64, is_write: bool) -> Transaction {
         let set = self.set_of(ptag);
@@ -171,16 +165,11 @@ impl DirectoryController {
             }
             // Read miss: coherence transaction.
             self.stats.transactions += 1;
-            let sharers = self.sharers_of(ptag, core);
-            let others_have_copy = !sharers.is_empty();
-            let probes = self.deliver_probes(core, ptag, &sharers, false);
-            let (_, action) = protocol::on_local_read(MoesiState::Invalid, others_have_copy);
+            let probes = self.deliver_probes(core, set, ptag, false);
+            let others_have_copy = !probes.is_empty();
+            let (fill_state, action) =
+                protocol::on_local_read(MoesiState::Invalid, others_have_copy);
             debug_assert_eq!(action, protocol::Action::FetchData);
-            let fill_state = if others_have_copy {
-                MoesiState::Shared
-            } else {
-                MoesiState::Exclusive
-            };
             self.fill(core, set, ptag, fill_state);
             Transaction {
                 local_hit: false,
@@ -199,16 +188,10 @@ impl DirectoryController {
             }
             // Upgrade or write miss: invalidate peers.
             self.stats.transactions += 1;
-            let sharers = self.sharers_of(ptag, core);
-            let probes = self.deliver_probes(core, ptag, &sharers, true);
+            let probes = self.deliver_probes(core, set, ptag, true);
             if state.is_valid() {
                 // Upgrade in place.
                 self.caches[core].write(set, ptag, mask);
-                self.directory
-                    .entry(ptag)
-                    .or_default()
-                    .sharers
-                    .retain(|&c| c == core);
             } else {
                 self.fill(core, set, ptag, MoesiState::Modified);
             }
@@ -227,7 +210,7 @@ impl DirectoryController {
     /// The MOESI state core `core` holds for `ptag` (Invalid if absent).
     pub fn state_of(&self, core: usize, ptag: u64) -> MoesiState {
         self.caches[core]
-            .line_state(self.set_of_ref(ptag), ptag)
+            .line_state(self.set_of(ptag), ptag)
             .unwrap_or(MoesiState::Invalid)
     }
 
@@ -246,39 +229,20 @@ impl DirectoryController {
     }
 
     fn set_of(&self, ptag: u64) -> usize {
-        (ptag as usize) % self.config.sets()
+        (ptag as usize) % self.sets
     }
 
-    fn set_of_ref(&self, ptag: u64) -> usize {
-        (ptag as usize) % self.config.sets()
-    }
-
-    fn sharers_of(&self, ptag: u64, requester: usize) -> Vec<usize> {
-        match self.mode {
-            CoherenceMode::Directory => self
-                .directory
-                .get(&ptag)
-                .map(|e| {
-                    e.sharers
-                        .iter()
-                        .copied()
-                        .filter(|&c| c != requester)
-                        .collect()
-                })
-                .unwrap_or_default(),
-            CoherenceMode::Snoopy => (0..self.caches.len()).filter(|&c| c != requester).collect(),
-        }
-    }
-
+    /// Probes the requester's peers in ascending core order: in directory
+    /// mode those whose functional array holds the line (the arrays are
+    /// the exact presence record: a line enters on fill and leaves on
+    /// eviction, invalidation or upgrade), in snoopy mode all of them.
     fn deliver_probes(
         &mut self,
-        _requester: usize,
+        requester: usize,
+        set: usize,
         ptag: u64,
-        targets: &[usize],
         invalidate: bool,
     ) -> Vec<ProbeDelivery> {
-        let set = self.set_of(ptag);
-        let probe_mask = WayMask::range(0, self.probe_ways_per_lookup);
         // SEESAW's 4-way insertion keeps every line in a deterministic
         // partition, so a narrow probe suffices; the baseline probes the
         // full set. The functional model stores lines anywhere, so we use
@@ -286,12 +250,18 @@ impl DirectoryController {
         // configured probe width.
         let full = WayMask::all(self.config.ways);
         let mut deliveries = Vec::new();
-        for &target in targets {
-            self.stats.probes_delivered += 1;
-            self.stats.probe_ways += probe_mask.count() as u64;
+        for target in 0..self.caches.len() {
+            if target == requester {
+                continue;
+            }
             let state = self.caches[target]
                 .line_state(set, ptag)
                 .unwrap_or(MoesiState::Invalid);
+            if self.mode == CoherenceMode::Directory && !state.is_valid() {
+                continue;
+            }
+            self.stats.probes_delivered += 1;
+            self.stats.probe_ways += self.probe_ways_per_lookup as u64;
             let mut writeback = false;
             if invalidate {
                 let (next, action) = protocol::on_remote_write(state);
@@ -302,9 +272,6 @@ impl DirectoryController {
                     }
                     self.caches[target].coherence_probe(set, ptag, full, true);
                     self.stats.invalidations += 1;
-                    if let Some(entry) = self.directory.get_mut(&ptag) {
-                        entry.sharers.retain(|&c| c != target);
-                    }
                 }
                 debug_assert_eq!(next, MoesiState::Invalid);
             } else if state.is_valid() {
@@ -321,19 +288,12 @@ impl DirectoryController {
         deliveries
     }
 
+    /// Fills `ptag` into `core`'s array in `state`; a displaced line
+    /// simply leaves the array, and with it the presence record.
     fn fill(&mut self, core: usize, set: usize, ptag: u64, state: MoesiState) {
         let mask = WayMask::all(self.config.ways);
-        if let Some(evicted) = self.caches[core].fill(set, ptag, mask, false) {
-            // The displaced line leaves this cache: update the directory.
-            if let Some(entry) = self.directory.get_mut(&evicted.ptag) {
-                entry.sharers.retain(|&c| c != core);
-            }
-        }
+        self.caches[core].fill(set, ptag, mask, false);
         self.caches[core].set_line_state(set, ptag, state);
-        let entry = self.directory.entry(ptag).or_default();
-        if !entry.sharers.contains(&core) {
-            entry.sharers.push(core);
-        }
     }
 }
 
@@ -491,7 +451,7 @@ mod tests {
             .collect();
         let (dir, snoop) = replay_both(&ops);
         // Snoopy broadcasts cores-1 probes on *every* transaction; the
-        // directory delivers at most that many (only recorded sharers).
+        // directory delivers at most that many (only peers holding the line).
         assert_eq!(
             snoop.stats().probes_delivered,
             snoop.stats().transactions * 3,
@@ -587,5 +547,44 @@ mod tests {
             assert_eq!(legacy, tx.local_hit);
         }
         assert_eq!(a.stats(), b.stats());
+    }
+
+    #[test]
+    fn probes_go_to_exactly_the_valid_peers_in_core_order() {
+        // A 1 KB, 4-way array (4 sets) over 48 lines keeps fills evicting,
+        // so presence changes by eviction as well as by invalidation.
+        let cfg = CacheConfig::new(1 << 10, 4, 64, IndexPolicy::Vipt);
+        let mut seed = 0x0dd_ba11_u64;
+        let mut next = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            seed >> 33
+        };
+        for cores in 2..=8 {
+            for mode in [CoherenceMode::Directory, CoherenceMode::Snoopy] {
+                let mut dir = DirectoryController::new(cores, cfg, mode, 4);
+                for _ in 0..3000 {
+                    let core = (next() % cores as u64) as usize;
+                    let ptag = next() % 48;
+                    let is_write = next() % 3 == 0;
+                    let expected: Vec<usize> = (0..cores)
+                        .filter(|&c| c != core)
+                        .filter(|&c| {
+                            mode == CoherenceMode::Snoopy || dir.state_of(c, ptag).is_valid()
+                        })
+                        .collect();
+                    let tx = dir.access(core, ptag, is_write);
+                    let targets: Vec<usize> = tx.probes.iter().map(|p| p.target).collect();
+                    if tx.local_hit {
+                        assert!(targets.is_empty(), "a local hit probes no peer");
+                    } else {
+                        assert_eq!(targets, expected, "{mode:?}, {cores} cores, line {ptag}");
+                    }
+                    if mode == CoherenceMode::Directory {
+                        assert!(tx.probes.iter().all(|p| p.hit), "directory probes always hit");
+                    }
+                    assert!(dir.swmr_holds(ptag), "SWMR violated for line {ptag}");
+                }
+            }
+        }
     }
 }

@@ -80,6 +80,10 @@ impl Collect for EnergyBreakdown {
 
 /// Accumulates events against an [`EnergyModel`] for one L1 configuration.
 ///
+/// The L1 lookup energies of the configuration — one per probed-way
+/// count, `0..=ways` — are priced once, when the account is made, so a
+/// lookup costs a table read instead of the SRAM model's interpolation.
+///
 /// # Example
 /// ```
 /// use seesaw_energy::{EnergyAccount, EnergyModel, SramModel};
@@ -96,16 +100,22 @@ pub struct EnergyAccount {
     model: EnergyModel,
     l1_size_kb: u64,
     l1_ways: usize,
+    /// `lookup_nj[w]`: energy of one L1 lookup probing `w` ways.
+    lookup_nj: Box<[f64]>,
     acc: EnergyBreakdown,
 }
 
 impl EnergyAccount {
     /// Creates an account for an L1 of the given geometry.
     pub fn new(model: EnergyModel, l1_size_kb: u64, l1_ways: usize) -> Self {
+        let lookup_nj = (0..=l1_ways)
+            .map(|w| model.l1_lookup_nj(l1_size_kb, l1_ways, w))
+            .collect();
         Self {
             model,
             l1_size_kb,
             l1_ways,
+            lookup_nj,
             acc: EnergyBreakdown::default(),
         }
     }
@@ -119,21 +129,18 @@ impl EnergyAccount {
     /// full-associativity chunk is charged as its own round.
     pub fn cpu_lookup(&mut self, mut ways_probed: usize) {
         while ways_probed > self.l1_ways {
-            self.acc.l1_cpu_nj +=
-                self.model
-                    .l1_lookup_nj(self.l1_size_kb, self.l1_ways, self.l1_ways);
+            self.acc.l1_cpu_nj += self.lookup_nj[self.l1_ways];
             ways_probed -= self.l1_ways;
         }
-        self.acc.l1_cpu_nj += self
-            .model
-            .l1_lookup_nj(self.l1_size_kb, self.l1_ways, ways_probed);
+        self.acc.l1_cpu_nj += self.lookup_nj[ways_probed];
     }
 
     /// A coherence L1 lookup probing `ways_probed` ways.
+    ///
+    /// # Panics
+    /// Panics if `ways_probed` exceeds the associativity.
     pub fn coherence_lookup(&mut self, ways_probed: usize) {
-        self.acc.l1_coherence_nj += self
-            .model
-            .l1_lookup_nj(self.l1_size_kb, self.l1_ways, ways_probed);
+        self.acc.l1_coherence_nj += self.lookup_nj[ways_probed];
     }
 
     /// An L1 line fill.
@@ -265,5 +272,42 @@ mod tests {
     fn faster_run_leaks_less() {
         let acct = |ns: f64| EnergyAccount::new(model(), 32, 8).finish(ns);
         assert!(acct(1000.0).leakage_nj < acct(2000.0).leakage_nj);
+    }
+
+    #[test]
+    fn table_lookups_are_bit_equal_to_the_model() {
+        // Every geometry `build_l1` produces, every width up to the
+        // associativity, and multi-round widths above it.
+        let m = model();
+        for size_kb in [32, 64, 128] {
+            for ways in [4, 8, 16, 32] {
+                let mut acct = EnergyAccount::new(m, size_kb, ways);
+                let (mut cpu, mut coherence) = (0.0_f64, 0.0_f64);
+                for w in 0..=3 * ways {
+                    acct.cpu_lookup(w);
+                    let mut left = w;
+                    while left > ways {
+                        cpu += m.l1_lookup_nj(size_kb, ways, ways);
+                        left -= ways;
+                    }
+                    cpu += m.l1_lookup_nj(size_kb, ways, left);
+                    if w <= ways {
+                        acct.coherence_lookup(w);
+                        coherence += m.l1_lookup_nj(size_kb, ways, w);
+                    }
+                }
+                let b = acct.finish(0.0);
+                assert_eq!(
+                    b.l1_cpu_nj.to_bits(),
+                    cpu.to_bits(),
+                    "{size_kb} KB {ways}-way"
+                );
+                assert_eq!(
+                    b.l1_coherence_nj.to_bits(),
+                    coherence.to_bits(),
+                    "{size_kb} KB {ways}-way"
+                );
+            }
+        }
     }
 }

@@ -782,7 +782,7 @@ fn interleave<C: CpuModel, S: Sink, P: Progress>(
                     }
                 }
                 if has_tft {
-                    for page in &lookup.superpage_l1_fills {
+                    if let Some(page) = lookup.superpage_l1_fills {
                         core.l1.tft_fill(page.base());
                         if S::ENABLED {
                             sink.emit(at, EventKind::TftFill);

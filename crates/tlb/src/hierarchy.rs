@@ -28,9 +28,10 @@ pub struct TlbLookup {
     pub level: TlbLevel,
     /// Extra cycles the translation added beyond an L1 hit.
     pub cost_cycles: u64,
-    /// Superpage virtual pages filled into the L1 (2 MB or 1 GB) TLB by
-    /// this lookup — the event stream the TFT consumes (§IV-A2, TFT fill).
-    pub superpage_l1_fills: Vec<VirtPage>,
+    /// The superpage virtual page (2 MB or 1 GB) this lookup filled into
+    /// the L1 TLB, if any — the event stream the TFT consumes (§IV-A2,
+    /// TFT fill). A lookup fills at most one page.
+    pub superpage_l1_fills: Option<VirtPage>,
 }
 
 #[derive(Debug, Clone)]
@@ -93,7 +94,7 @@ impl TlbHierarchy {
                 entry,
                 level: TlbLevel::L1,
                 cost_cycles: 0,
-                superpage_l1_fills: Vec::new(),
+                superpage_l1_fills: None,
             });
         }
         // L2 probe.
@@ -205,9 +206,9 @@ impl TlbHierarchy {
         }
     }
 
-    /// Fills the appropriate L1 TLB; returns the superpage pages filled
-    /// (for the TFT).
-    fn l1_fill(&mut self, entry: TlbEntry) -> Vec<VirtPage> {
+    /// Fills the appropriate L1 TLB; returns the superpage page filled,
+    /// if any (for the TFT).
+    fn l1_fill(&mut self, entry: TlbEntry) -> Option<VirtPage> {
         let page = VirtPage::containing(
             VirtAddr::new(entry.vpn << entry.size.offset_bits()),
             entry.size,
@@ -216,26 +217,22 @@ impl TlbHierarchy {
             L1Tlbs::Split { l1_4k, l1_2m, l1_1g } => match entry.size {
                 PageSize::Base4K => {
                     l1_4k.fill(entry);
-                    Vec::new()
+                    None
                 }
                 PageSize::Super2M => {
                     l1_2m.fill(entry);
-                    vec![page]
+                    Some(page)
                 }
                 PageSize::Super1G => {
                     if let Some(t) = l1_1g.as_mut() {
                         t.fill(entry);
                     }
-                    vec![page]
+                    Some(page)
                 }
             },
             L1Tlbs::Unified(tlb) => {
                 tlb.fill(entry);
-                if entry.size.is_superpage() {
-                    vec![page]
-                } else {
-                    Vec::new()
-                }
+                entry.size.is_superpage().then_some(page)
             }
         }
     }
@@ -276,11 +273,11 @@ mod tests {
         let first = tlbs.lookup(base, &space).unwrap();
         assert_eq!(first.level, TlbLevel::PageWalk);
         assert!(first.cost_cycles > 0);
-        assert_eq!(first.superpage_l1_fills.len(), 1);
+        assert!(first.superpage_l1_fills.is_some());
         let second = tlbs.lookup(base, &space).unwrap();
         assert_eq!(second.level, TlbLevel::L1);
         assert_eq!(second.cost_cycles, 0);
-        assert!(second.superpage_l1_fills.is_empty());
+        assert!(second.superpage_l1_fills.is_none());
     }
 
     #[test]
@@ -303,7 +300,7 @@ mod tests {
         let mut tlbs = TlbHierarchy::new(TlbHierarchyConfig::sandybridge());
         for i in 0..64u64 {
             let r = tlbs.lookup(base.offset(i * 4096), &space).unwrap();
-            assert!(r.superpage_l1_fills.is_empty());
+            assert!(r.superpage_l1_fills.is_none());
         }
         assert_eq!(tlbs.superpage_l1_occupancy().0, 0);
     }

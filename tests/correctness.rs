@@ -34,7 +34,7 @@ fn access(
     is_write: bool,
 ) -> seesaw_core::L1AccessOutcome {
     let lookup = tlbs.lookup(va, space).expect("mapped");
-    for page in &lookup.superpage_l1_fills {
+    if let Some(page) = lookup.superpage_l1_fills {
         l1.tft_fill(page.base());
     }
     let req = L1Request {

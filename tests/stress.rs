@@ -44,7 +44,7 @@ impl Rig {
 
     fn access(&mut self, va: VirtAddr, is_write: bool) -> seesaw_core::L1AccessOutcome {
         let lookup = self.tlbs.lookup(va, &self.space).expect("mapped");
-        for page in &lookup.superpage_l1_fills {
+        if let Some(page) = lookup.superpage_l1_fills {
             self.l1.tft_fill(page.base());
         }
         let out = self.l1.access(&L1Request {

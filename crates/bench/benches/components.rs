@@ -213,6 +213,9 @@ fn bench_trace_generator(c: &mut Criterion) {
         let mut generator = TraceGenerator::new(&spec, 1);
         let mut scratch = Vec::with_capacity(64);
         b.iter(|| {
+            // `fill_refs` appends: clear first so every iteration times
+            // one 64-reference batch, not a buffer grown by all before it.
+            scratch.clear();
             generator.fill_refs(&mut scratch, 64);
             black_box(scratch.iter().map(|r| r.pack()).sum::<u64>())
         });

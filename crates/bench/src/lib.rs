@@ -129,7 +129,6 @@ pub fn finish(name: &str) {
         store.stats().collect("store", &mut registry);
     }
     seesaw_sim::runner::session_ops().collect("ops.sweep", &mut registry);
-    seesaw_sim::fabric::session_fabric().collect("fabric", &mut registry);
     let mut cell_wall_ms = seesaw_trace::Log2Histogram::new();
     for cell in seesaw_sim::runner::session_journal()
         .iter()

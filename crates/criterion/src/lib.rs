@@ -13,6 +13,12 @@
 //! and reports pass/fail instead of timing — the mode `scripts/check.sh`
 //! uses to keep the benches compiling and panic-free without paying for
 //! a full measurement.
+//!
+//! Any argument that is not a flag is a name filter, as in the real
+//! crate: only benchmarks whose `group/name` label contains one of the
+//! filters as a substring run (`cargo bench -- energy` times `energy/*`
+//! only). The others are skipped before their body runs, so their setup
+//! costs nothing. With no filter every benchmark runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,6 +30,23 @@ use std::time::{Duration, Instant};
 fn test_mode() -> bool {
     static MODE: OnceLock<bool> = OnceLock::new();
     *MODE.get_or_init(|| std::env::args().any(|a| a == "--test"))
+}
+
+/// The name filters: every command-line argument that is not a flag.
+fn filters() -> &'static [String] {
+    static FILTERS: OnceLock<Vec<String>> = OnceLock::new();
+    FILTERS.get_or_init(|| {
+        std::env::args()
+            .skip(1)
+            .filter(|a| !a.starts_with('-'))
+            .collect()
+    })
+}
+
+/// Whether a benchmark `label` passes the name `filters` (a substring
+/// match against any of them; no filters select everything).
+fn selected(label: &str, filters: &[String]) -> bool {
+    filters.is_empty() || filters.iter().any(|f| label.contains(f.as_str()))
 }
 
 /// Re-export of the standard opaque value barrier.
@@ -116,6 +139,9 @@ impl Bencher {
 }
 
 fn run_benchmark<F: FnMut(&mut Bencher)>(label: &str, mut f: F) {
+    if !selected(label, filters()) {
+        return;
+    }
     let mut bencher = Bencher::default();
     f(&mut bencher);
     if test_mode() {
@@ -168,5 +194,18 @@ mod tests {
         group.sample_size(10);
         group.bench_function("add", |b| b.iter(|| black_box(2u64) + black_box(3u64)));
         group.finish();
+    }
+
+    #[test]
+    fn filters_select_labels_by_substring() {
+        let filters = |f: &[&str]| f.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert!(selected("energy/sram_lookup", &filters(&[])));
+        assert!(selected("energy/sram_lookup", &filters(&["energy"])));
+        assert!(selected("energy/sram_lookup", &filters(&["sram_look"])));
+        assert!(!selected("trace_generator/fill_refs_64", &filters(&["energy"])));
+        assert!(selected(
+            "trace_generator/fill_refs_64",
+            &filters(&["energy", "fill_refs"])
+        ));
     }
 }

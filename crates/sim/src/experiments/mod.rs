@@ -18,7 +18,6 @@ mod fig14;
 mod fig15;
 mod multicore;
 mod partitions;
-mod plans;
 mod scheduler;
 mod tables;
 
@@ -41,6 +40,5 @@ pub use multicore::{
     multicore_sweep, multicore_table, MulticoreRow, CORE_COUNTS, MULTICORE_WORKLOADS,
 };
 pub use partitions::{partition_ablation, partition_table, valid_partitioning, PartitionRow};
-pub use plans::{plan_cells, plan_names, PlanCell, PLAN_NAMES};
 pub use scheduler::{scheduler_ablation, scheduler_table, SchedulerRow, MEMHOG_LEVELS, SQUASH_COSTS};
 pub use tables::{table1, table1_table, table2, table3, table3_table, Table1Row, Table3Row};

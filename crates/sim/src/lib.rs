@@ -54,7 +54,6 @@ mod core;
 pub mod diff;
 mod error;
 pub mod experiments;
-pub mod fabric;
 mod report;
 pub mod repro;
 pub mod runner;

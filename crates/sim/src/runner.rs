@@ -46,15 +46,6 @@
 //!   cell with its config digest and autosaved repro-bundle path.
 //!   [`Plan::run`] keeps fail-fast semantics for drivers that treat any
 //!   failure as fatal.
-//! * **A multi-process layer on top.** [`crate::fabric`] serializes the
-//!   same `(label, RunConfig)` cells onto a work-stealing job queue
-//!   inside the store directory; `seesaw-worker` processes execute each
-//!   claimed cell through this exact engine (a single-cell
-//!   [`Plan::run_sweep`] with the store attached, so supervision and
-//!   write-back are shared, not reimplemented), and assembly re-runs the
-//!   plan locally where every worker-resolved cell is a store hit —
-//!   bit-identical to a single-process run. DESIGN.md §16 specifies the
-//!   wire protocol; docs/DISTRIBUTED.md is the operator's handbook.
 //!
 //! The worker count defaults to the machine's available parallelism and
 //! can be pinned with the `SEESAW_THREADS` environment variable (used by
@@ -1189,8 +1180,8 @@ pub struct FailedCell {
     /// The label the driver pushed the cell with.
     pub label: String,
     /// The 128-bit content digest of the cell's configuration
-    /// fingerprint — the persistent store's record name, so the failing
-    /// config can be located without replaying the plan.
+    /// fingerprint, so the failing config can be identified without
+    /// replaying the plan.
     pub fingerprint: String,
     /// Where the autosaved repro bundle lives (checker violations under
     /// `SEESAW_REPRO` only).

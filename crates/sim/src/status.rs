@@ -713,9 +713,6 @@ pub struct OpsSummary {
     pub store: Option<(usize, PathBuf, StoreStats)>,
     /// Process-wide supervision counters.
     pub supervisor: SupervisorStats,
-    /// Process-wide distributed-fabric counters (all zero outside a
-    /// `seesaw-worker` process).
-    pub fabric: seesaw_trace::FabricWorkerStats,
 }
 
 impl OpsSummary {
@@ -726,14 +723,12 @@ impl OpsSummary {
             store: crate::store::process_store()
                 .map(|s| (s.len(), s.dir().to_path_buf(), s.stats())),
             supervisor: crate::runner::supervisor_stats(),
-            fabric: crate::fabric::session_fabric(),
         }
     }
 
     /// Renders the summary lines (no trailing newline): always `[memo]`,
     /// then `[store]` when a store is active, then `[supervisor]` when
-    /// any supervision event fired, then `[fabric]` when this process
-    /// worked the distributed queue.
+    /// any supervision event fired.
     pub fn render(&self) -> String {
         let mut out = format!(
             "[memo] {} hits / {} misses ({} distinct configs simulated)",
@@ -766,21 +761,6 @@ impl OpsSummary {
                 sup.retries,
                 sup.permanent_failures,
                 sup.cells_skipped
-            ));
-        }
-        let fab = &self.fabric;
-        if fab.any() {
-            out.push_str(&format!(
-                "\n[fabric] {} claims ({} steals, {} races lost), {} completed, {} check failures, {} error markers, {} renewals ({} lost), {} idle polls",
-                fab.claims,
-                fab.steals,
-                fab.races_lost,
-                fab.completed,
-                fab.check_failures,
-                fab.error_markers,
-                fab.renewals,
-                fab.renewals_lost,
-                fab.idle_polls
             ));
         }
         out
@@ -957,18 +937,6 @@ mod tests {
                 permanent_failures: 0,
                 cells_skipped: 0,
             },
-            fabric: seesaw_trace::FabricWorkerStats {
-                claims: 4,
-                steals: 1,
-                races_lost: 2,
-                renewals: 6,
-                renewals_lost: 0,
-                completed: 3,
-                check_failures: 1,
-                error_markers: 0,
-                idle_polls: 5,
-                busy_ms: 1234,
-            },
         };
         let text = summary.render();
         let lines: Vec<&str> = text.lines().collect();
@@ -984,15 +952,12 @@ mod tests {
             lines[2],
             "[supervisor] 3 cells: 1 panics caught, 0 timeouts, 1 retries, 0 permanent failures, 0 skipped"
         );
-        assert_eq!(
-            lines[3],
-            "[fabric] 4 claims (1 steals, 2 races lost), 3 completed, 1 check failures, 0 error markers, 6 renewals (0 lost), 5 idle polls"
-        );
+        assert_eq!(lines.len(), 3);
         // bench.sh's awk fields: $2 = hits, $5 = misses on the memo line.
         let fields: Vec<&str> = lines[0].split_whitespace().collect();
         assert_eq!(fields[1], "7");
         assert_eq!(fields[4], "3");
-        // Quiet supervisor and idle fabric ⇒ neither line appears.
+        // A quiet supervisor ⇒ no supervisor line.
         let quiet = OpsSummary {
             memo: MemoStats {
                 hits: 0,
@@ -1004,7 +969,6 @@ mod tests {
                 cells: 9,
                 ..Default::default()
             },
-            fabric: seesaw_trace::FabricWorkerStats::default(),
         };
         assert_eq!(quiet.render().lines().count(), 1);
     }

@@ -3,16 +3,16 @@
 //! The runner's memo cache is process-wide and in-memory: a killed sweep
 //! loses every completed cell. This module backs it with an on-disk
 //! store so a re-launched sweep resumes from what already finished —
-//! across processes, across machines sharing a directory, and across
-//! unrelated sweeps that happen to contain the same configuration
-//! (cross-run dedupe). Design:
+//! across processes and across unrelated sweeps that happen to contain
+//! the same configuration (cross-run dedupe). Design:
 //!
 //! * **Content addressing.** Records are keyed by the existing
-//!   [`fingerprint`](crate::runner::fingerprint) of the `RunConfig`; the
-//!   file name is its 128-bit FNV-1a digest (`r-<digest>.rec` for
-//!   results, `f-<digest>.rec` for checker failures) and the payload
-//!   repeats the full fingerprint, which [`Store::get`] verifies — a
-//!   digest collision degrades to a miss, never a wrong answer.
+//!   [`fingerprint`](crate::runner::fingerprint) of the `RunConfig`,
+//!   qualified by [`MODEL_EPOCH`]; the file name is the key's 128-bit
+//!   FNV-1a digest (`r-<digest>.rec` for results, `f-<digest>.rec` for
+//!   checker failures) and the payload repeats the full key, which
+//!   [`Store::get`] verifies — a digest collision or a record from
+//!   another epoch degrades to a miss, never a wrong answer.
 //! * **Append-only record files, atomic commits.** A record is written
 //!   to a private `.tmp-<pid>-<n>` file and `rename`d into place, so a
 //!   record either exists completely or not at all — a `SIGKILL` mid-
@@ -65,100 +65,34 @@ use crate::{RunResult, SimError};
 const MAGIC: &str = "seesaw-store";
 const VERSION: u32 = 1;
 
-// ---------------------------------------------------------------------------
-// Shared record IO: one wire format for every on-disk record.
-//
-// The store and the distributed fabric (`crate::fabric`) write the same
-// shape of file — `seesaw-store 1 <kind> <len> <crc16hex>\n` followed by
-// the payload and a trailing newline — committed via a private tmp file
-// and an atomic rename. These free helpers are the single
-// implementation; `Store` layers its journal and traffic counters on
-// top, the fabric layers its queue semantics. DESIGN.md §16 is the
-// normative specification of the format.
-// ---------------------------------------------------------------------------
+/// The simulator-semantics epoch every record is keyed under. Bump it
+/// whenever a change is meant to move simulated results, that is, in the
+/// same change that regenerates `results/digests.txt`: records written
+/// under any other epoch are then plain misses and are re-simulated,
+/// never served. A unit test pins the golden digest file to this epoch.
+pub const MODEL_EPOCH: u32 = 1;
 
-/// Process-wide tmp-file sequence shared by every record writer, so two
-/// handles on the same directory never collide on a tmp name.
+/// The store's FNV-1a-64 checksum of `results/digests.txt` as of
+/// [`MODEL_EPOCH`]; re-pinned with every epoch bump (only a test reads
+/// it).
+#[cfg_attr(not(test), allow(dead_code))]
+const GOLDEN_DIGESTS_FNV1A: u64 = 0xe3f7_5279_868f_ac9d;
+
+/// Process-wide tmp-file sequence, so two handles on the same directory
+/// never collide on a tmp name.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Atomically commits one checksummed record: header + payload written
-/// to `.tmp-<pid>-<seq>`, fsynced, then renamed to `name`. Returns the
-/// payload's FNV-1a-64 checksum (the journal line wants it).
-///
-/// # Errors
-/// Any filesystem error; the tmp file is removed on failure.
-pub(crate) fn commit_record(
-    dir: &Path,
-    name: &str,
-    kind: &str,
-    payload: &str,
-) -> std::io::Result<u64> {
-    let crc = fnv1a64(payload.as_bytes());
-    let tmp = dir.join(format!(
-        ".tmp-{}-{}",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let finished = (|| -> std::io::Result<()> {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(record_bytes(kind, payload).as_bytes())?;
-        f.sync_all()?;
-        fs::rename(&tmp, dir.join(name))?;
-        Ok(())
-    })();
-    match finished {
-        Ok(()) => Ok(crc),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
+/// What the store hashes for a record's file name and embeds as its
+/// key: the configuration fingerprint qualified by the model epoch.
+fn record_key(epoch: u32, fingerprint: &str) -> String {
+    format!("epoch{epoch} {fingerprint}")
 }
 
-/// The full file image of one record — header, payload, trailing
-/// newline. The fabric writes claim records through `create_new` (the
-/// O_EXCL exclusivity is the claim) and so cannot go through
-/// [`commit_record`]'s tmp+rename path.
-pub(crate) fn record_bytes(kind: &str, payload: &str) -> String {
-    let crc = fnv1a64(payload.as_bytes());
-    format!(
-        "{MAGIC} {VERSION} {kind} {} {crc:016x}\n{payload}\n",
-        payload.len()
-    )
-}
-
-/// Reads and validates one record file, returning `(kind, payload)`.
-/// `None` for absent, truncated, garbled, or version-skewed records —
-/// corruption is a skip, never a panic.
-pub(crate) fn read_record_at(path: &Path) -> Option<(String, String)> {
-    let bytes = fs::read(path).ok()?;
-    let text = String::from_utf8(bytes).ok()?;
-    let (header, rest) = text.split_once('\n')?;
-    let mut fields = header.split(' ');
-    if fields.next() != Some(MAGIC) {
-        return None;
-    }
-    if fields.next()?.parse::<u32>().ok()? != VERSION {
-        return None;
-    }
-    let kind = fields.next()?;
-    let len: usize = fields.next()?.parse().ok()?;
-    let crc = u64::from_str_radix(fields.next()?, 16).ok()?;
-    if fields.next().is_some() || rest.len() < len {
-        return None;
-    }
-    let payload = &rest[..len];
-    if fnv1a64(payload.as_bytes()) != crc {
-        return None;
-    }
-    Some((kind.to_string(), payload.to_string()))
-}
-
-/// 128-bit FNV-1a digest of a fingerprint, as 32 hex digits — the
-/// record's file-name stem and the short form of the configuration
-/// attached to supervisor reports.
-pub fn digest(fingerprint: &str) -> String {
-    format!("{:032x}", fnv1a128(fingerprint.as_bytes()))
+/// 128-bit FNV-1a digest of a string, as 32 hex digits — of a record
+/// key, the record's file-name stem; of a fingerprint, the short form
+/// of the configuration attached to supervisor reports.
+pub fn digest(text: &str) -> String {
+    format!("{:032x}", fnv1a128(text.as_bytes()))
 }
 
 /// The low 64 bits of [`digest`], for seeding the deterministic backoff
@@ -178,7 +112,7 @@ fn fnv1a128(bytes: &[u8]) -> u128 {
     h
 }
 
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -295,11 +229,13 @@ impl Store {
     }
 
     /// Looks up a fingerprint: a completed result first, then a failure
-    /// marker. Corrupt records are skipped (counted), never an error.
+    /// marker. Corrupt records are skipped (counted), never an error;
+    /// records from another [`MODEL_EPOCH`] are misses.
     pub fn get(&self, fingerprint: &str) -> Option<StoredOutcome> {
-        let d = digest(fingerprint);
+        let key = record_key(MODEL_EPOCH, fingerprint);
+        let d = digest(&key);
         if let Some(payload) = self.read_record(&self.dir.join(format!("r-{d}.rec"))) {
-            match decode_result(&payload, fingerprint) {
+            match decode_result(&payload, &key) {
                 Ok(Some(result)) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Some(StoredOutcome::Result(Box::new(result)));
@@ -311,7 +247,7 @@ impl Store {
             }
         }
         if let Some(payload) = self.read_record(&self.dir.join(format!("f-{d}.rec"))) {
-            match decode_failure(&payload, fingerprint) {
+            match decode_failure(&payload, &key) {
                 Ok(Some(error)) => {
                     self.failure_hits.fetch_add(1, Ordering::Relaxed);
                     return Some(StoredOutcome::Failure(error));
@@ -330,12 +266,12 @@ impl Store {
     /// warning, never an error — the in-memory result is already safe).
     /// Results carrying a captured event trace are not persisted.
     pub fn put_result(&self, fingerprint: &str, result: &RunResult) {
-        let Some(payload) = encode_result(fingerprint, result) else {
+        let key = record_key(MODEL_EPOCH, fingerprint);
+        let Some(payload) = encode_result(&key, result) else {
             self.traced_skipped.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        let name = format!("r-{}.rec", digest(fingerprint));
-        self.commit(&name, "result", &payload);
+        self.commit(&format!("r-{}.rec", digest(&key)), "result", &payload);
     }
 
     /// Persists a checker-failure marker with its autosaved bundle path.
@@ -345,9 +281,9 @@ impl Store {
         let SimError::Check(v) = error else {
             return;
         };
-        let payload = encode_failure(fingerprint, v);
-        let name = format!("f-{}.rec", digest(fingerprint));
-        self.commit(&name, "failure", &payload);
+        let key = record_key(MODEL_EPOCH, fingerprint);
+        let payload = encode_failure(&key, v);
+        self.commit(&format!("f-{}.rec", digest(&key)), "failure", &payload);
     }
 
     /// Scans every record file, returning `(valid, corrupt)` counts —
@@ -387,9 +323,28 @@ impl Store {
         self.len() == 0
     }
 
+    /// Atomically commits one checksummed record: header + payload
+    /// written to a private `.tmp-<pid>-<seq>` file, fsynced, then
+    /// renamed to `name`, with one journal line per commit.
     fn commit(&self, name: &str, kind: &str, payload: &str) {
-        match commit_record(&self.dir, name, kind, payload) {
-            Ok(crc) => {
+        let crc = fnv1a64(payload.as_bytes());
+        let header = format!("{MAGIC} {VERSION} {kind} {} {crc:016x}\n", payload.len());
+        let tmp = self.dir.join(format!(
+            ".tmp-{}-{}",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let finished = (|| -> std::io::Result<()> {
+            let mut f = fs::File::create(&tmp)?;
+            f.write_all(header.as_bytes())?;
+            f.write_all(payload.as_bytes())?;
+            f.write_all(b"\n")?;
+            f.sync_all()?;
+            fs::rename(&tmp, self.dir.join(name))?;
+            Ok(())
+        })();
+        match finished {
+            Ok(()) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
                 let _guard = self.journal.lock().expect("store journal lock");
                 let line = format!("{kind} {name} {} {crc:016x}\n", payload.len());
@@ -401,6 +356,7 @@ impl Store {
             }
             Err(e) => {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
+                let _ = fs::remove_file(&tmp);
                 eprintln!(
                     "warning: SEESAW_STORE write of {name} failed ({e}); \
                      the sweep continues without persisting this cell"
@@ -426,7 +382,27 @@ impl Store {
     }
 
     fn read_record_quiet(&self, path: &Path) -> Option<String> {
-        read_record_at(path).map(|(_kind, payload)| payload)
+        let bytes = fs::read(path).ok()?;
+        let text = String::from_utf8(bytes).ok()?;
+        let (header, rest) = text.split_once('\n')?;
+        let mut fields = header.split(' ');
+        if fields.next() != Some(MAGIC) {
+            return None;
+        }
+        if fields.next()?.parse::<u32>().ok()? != VERSION {
+            return None;
+        }
+        let _kind = fields.next()?;
+        let len: usize = fields.next()?.parse().ok()?;
+        let crc = u64::from_str_radix(fields.next()?, 16).ok()?;
+        if fields.next().is_some() || rest.len() < len {
+            return None;
+        }
+        let payload = &rest[..len];
+        if fnv1a64(payload.as_bytes()) != crc {
+            return None;
+        }
+        Some(payload.to_string())
     }
 }
 
@@ -460,7 +436,7 @@ pub fn process_store() -> Option<&'static std::sync::Arc<Store>> {
 // Payload codec: flat `key value` lines, one per scalar.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -473,7 +449,7 @@ pub(crate) fn esc(s: &str) -> String {
     out
 }
 
-pub(crate) fn unesc(s: &str) -> String {
+fn unesc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -491,31 +467,25 @@ pub(crate) fn unesc(s: &str) -> String {
     out
 }
 
-pub(crate) struct Enc {
-    pub(crate) out: String,
+struct Enc {
+    out: String,
 }
 
 impl Enc {
-    pub(crate) fn new(fingerprint: &str) -> Enc {
-        let mut e = Enc::raw();
-        e.s("fingerprint", fingerprint);
+    fn new(key: &str) -> Enc {
+        let mut e = Enc { out: String::new() };
+        e.s("fingerprint", key);
         e
     }
 
-    /// An encoder with no leading `fingerprint` line — fabric claim and
-    /// manifest records are not keyed by a configuration.
-    pub(crate) fn raw() -> Enc {
-        Enc { out: String::new() }
-    }
-
-    pub(crate) fn line(&mut self, key: &str, value: impl std::fmt::Display) {
+    fn line(&mut self, key: &str, value: impl std::fmt::Display) {
         self.out.push_str(key);
         self.out.push(' ');
         self.out.push_str(&value.to_string());
         self.out.push('\n');
     }
 
-    pub(crate) fn u(&mut self, key: &str, v: u64) {
+    fn u(&mut self, key: &str, v: u64) {
         self.line(key, v);
     }
 
@@ -523,7 +493,7 @@ impl Enc {
         self.line(key, format_args!("f{:016x}", v.to_bits()));
     }
 
-    pub(crate) fn s(&mut self, key: &str, v: &str) {
+    fn s(&mut self, key: &str, v: &str) {
         self.line(key, esc(v));
     }
 
@@ -535,14 +505,14 @@ impl Enc {
     }
 }
 
-pub(crate) struct Dec<'a> {
+struct Dec<'a> {
     map: HashMap<&'a str, &'a str>,
 }
 
-pub(crate) type DecErr = String;
+type DecErr = String;
 
 impl<'a> Dec<'a> {
-    pub(crate) fn new(payload: &'a str) -> Dec<'a> {
+    fn new(payload: &'a str) -> Dec<'a> {
         let mut map = HashMap::new();
         for line in payload.lines() {
             if let Some((k, v)) = line.split_once(' ') {
@@ -552,14 +522,14 @@ impl<'a> Dec<'a> {
         Dec { map }
     }
 
-    pub(crate) fn raw(&self, key: &str) -> Result<&'a str, DecErr> {
+    fn raw(&self, key: &str) -> Result<&'a str, DecErr> {
         self.map
             .get(key)
             .copied()
             .ok_or_else(|| format!("missing key {key:?}"))
     }
 
-    pub(crate) fn u(&self, key: &str) -> Result<u64, DecErr> {
+    fn u(&self, key: &str) -> Result<u64, DecErr> {
         self.raw(key)?
             .parse()
             .map_err(|_| format!("key {key:?}: bad integer"))
@@ -569,24 +539,8 @@ impl<'a> Dec<'a> {
         parse_f(self.raw(key)?).ok_or_else(|| format!("key {key:?}: bad float bits"))
     }
 
-    pub(crate) fn s(&self, key: &str) -> Result<String, DecErr> {
+    fn s(&self, key: &str) -> Result<String, DecErr> {
         Ok(unesc(self.raw(key)?))
-    }
-
-    /// Every `(key, value)` pair whose key starts with `prefix`, with
-    /// the prefix stripped — how the fabric's job decoder walks the
-    /// open-ended `cfg.*` section.
-    pub(crate) fn with_prefix(&self, prefix: &str) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = self
-            .map
-            .iter()
-            .filter_map(|(k, v)| {
-                k.strip_prefix(prefix)
-                    .map(|rest| (rest.to_string(), unesc(v)))
-            })
-            .collect();
-        out.sort();
-        out
     }
 
     fn opt_f(&self, key: &str) -> Result<Option<f64>, DecErr> {
@@ -1278,6 +1232,40 @@ mod tests {
     }
 
     #[test]
+    fn golden_digests_are_pinned_to_the_model_epoch() {
+        let golden = fnv1a64(include_str!("../../../results/digests.txt").as_bytes());
+        assert_eq!(
+            golden, GOLDEN_DIGESTS_FNV1A,
+            "results/digests.txt changed (FNV-1a {golden:#018x}) but MODEL_EPOCH is still \
+             {MODEL_EPOCH}: bump MODEL_EPOCH so stored results from the old model are \
+             never served, then re-pin GOLDEN_DIGESTS_FNV1A to {golden:#018x}"
+        );
+    }
+
+    #[test]
+    fn records_from_another_epoch_are_plain_misses() {
+        let cfg = RunConfig::quick("astar").instructions(30_000);
+        let result = System::build(&cfg).unwrap().run().unwrap();
+        let fp = fingerprint(&cfg);
+        let store = Store::open(tmp_dir("epoch")).unwrap();
+        let stale = record_key(MODEL_EPOCH + 1, &fp);
+        let payload = encode_result(&stale, &result).unwrap();
+        // The other epoch's record under its own name, and the same
+        // record planted under this epoch's name: both are misses.
+        store.commit(&format!("r-{}.rec", digest(&stale)), "result", &payload);
+        assert!(store.get(&fp).is_none());
+        let current = format!("r-{}.rec", digest(&record_key(MODEL_EPOCH, &fp)));
+        store.commit(&current, "result", &payload);
+        assert!(store.get(&fp).is_none());
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.corrupt), (0, 2, 0));
+        // This epoch's put replaces the planted record and is served.
+        store.put_result(&fp, &result);
+        assert!(matches!(store.get(&fp), Some(StoredOutcome::Result(_))));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
     fn traced_results_are_not_persisted() {
         let cfg = RunConfig::quick("astar").instructions(30_000).with_trace();
         let result = System::build(&cfg).unwrap().run().unwrap();
@@ -1305,7 +1293,9 @@ mod tests {
         assert_eq!((1, 0), store.verify());
 
         // Truncate the record: the store must skip it, not panic.
-        let rec = store.dir().join(format!("r-{}.rec", digest(&fp)));
+        let rec = store
+            .dir()
+            .join(format!("r-{}.rec", digest(&record_key(MODEL_EPOCH, &fp))));
         let bytes = fs::read(&rec).unwrap();
         fs::write(&rec, &bytes[..bytes.len() / 2]).unwrap();
         assert!(store.get(&fp).is_none());

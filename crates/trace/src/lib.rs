@@ -72,6 +72,6 @@ pub use csv::Csv;
 pub use event::{Event, EventCounts, EventKind, TranslationLevel};
 pub use hist::Log2Histogram;
 pub use metrics::{Collect, MetricValue, MetricsRegistry};
-pub use ops::{CellPhase, CellProgress, CellState, FabricWorkerStats, OpsSweepStats};
+pub use ops::{CellPhase, CellProgress, CellState, OpsSweepStats};
 pub use prometheus::Prometheus;
 pub use sink::{NullSink, RingSink, Sink, TraceData};

@@ -260,71 +260,6 @@ impl Collect for OpsSweepStats {
     }
 }
 
-/// One distributed worker's tally over the shared job queue, exported
-/// under the `fabric.*` namespace (each `seesaw-worker` process writes
-/// its own Prometheus textfile of these, so a scrape across the fleet
-/// shows who claimed, who stole, and who sat idle).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FabricWorkerStats {
-    /// Jobs this worker claimed (fresh generations it won).
-    pub claims: u64,
-    /// Claims that took over an expired lease from another worker.
-    pub steals: u64,
-    /// Claim attempts lost to a concurrent worker (`create_new` said
-    /// the generation already exists — the loser just moves on).
-    pub races_lost: u64,
-    /// Lease renewals written by the heartbeat.
-    pub renewals: u64,
-    /// Renewals that discovered the lease had already been stolen.
-    pub renewals_lost: u64,
-    /// Claimed jobs that finished with a stored result.
-    pub completed: u64,
-    /// Claimed jobs that finished as a persisted checker failure.
-    pub check_failures: u64,
-    /// Claimed jobs resolved with an error marker (non-checker failure,
-    /// undecodable job record, or generation cap exceeded).
-    pub error_markers: u64,
-    /// Empty-handed queue scans (everything claimed or resolved).
-    pub idle_polls: u64,
-    /// Wall-clock milliseconds spent executing claimed jobs.
-    pub busy_ms: u64,
-}
-
-impl Collect for FabricWorkerStats {
-    fn collect(&self, prefix: &str, out: &mut MetricsRegistry) {
-        let FabricWorkerStats {
-            claims,
-            steals,
-            races_lost,
-            renewals,
-            renewals_lost,
-            completed,
-            check_failures,
-            error_markers,
-            idle_polls,
-            busy_ms,
-        } = *self;
-        out.set_u64(&format!("{prefix}.claims"), claims);
-        out.set_u64(&format!("{prefix}.steals"), steals);
-        out.set_u64(&format!("{prefix}.races_lost"), races_lost);
-        out.set_u64(&format!("{prefix}.renewals"), renewals);
-        out.set_u64(&format!("{prefix}.renewals_lost"), renewals_lost);
-        out.set_u64(&format!("{prefix}.completed"), completed);
-        out.set_u64(&format!("{prefix}.check_failures"), check_failures);
-        out.set_u64(&format!("{prefix}.error_markers"), error_markers);
-        out.set_u64(&format!("{prefix}.idle_polls"), idle_polls);
-        out.set_u64(&format!("{prefix}.busy_ms"), busy_ms);
-    }
-}
-
-impl FabricWorkerStats {
-    /// True when this worker did any fabric work at all — the gate the
-    /// operational summary uses before printing a `[fabric]` line.
-    pub fn any(&self) -> bool {
-        *self != FabricWorkerStats::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,29 +65,6 @@ else
 fi
 export SEESAW_STORE="$store_dir"
 
-# Optional distributed mode: SEESAW_WORKERS=n pre-warms the shared
-# store with a work-stealing fleet — every registry plan is enqueued on
-# the fabric, n seesaw-worker processes drain the queue, and the timed
-# binaries then assemble mostly from store hits. Wall-clock numbers in
-# this mode measure distributed pre-compute + assembly rather than
-# single-process sweeps, so the regression gate is disabled.
-workers="${SEESAW_WORKERS:-0}"
-if [ "$workers" -gt 0 ]; then
-  echo "==> distributed pre-warm: enqueue registry plans, drain with ${workers} workers"
-  for plan in $(./target/release/seesaw-submit --list); do
-    ./target/release/seesaw-submit "$plan" "$budget" --enqueue-only
-  done
-  worker_pids=""
-  for i in $(seq 1 "$workers"); do
-    ./target/release/seesaw-worker --id "bench-w$i" &
-    worker_pids="$worker_pids $!"
-  done
-  for pid in $worker_pids; do
-    wait "$pid"
-  done
-  export SEESAW_BENCH_GATE=off
-fi
-
 # Snapshot the committed trajectory before overwriting it: lines of
 # "<bin> <wall_seconds>", scraped from the existing out-file.
 gate="${SEESAW_BENCH_GATE:-on}"
@@ -107,7 +84,6 @@ suite_store_hits=0
   echo "{"
   echo "  \"budget_instructions\": ${budget},"
   echo "  \"threads\": ${threads},"
-  echo "  \"workers\": ${workers},"
   echo "  \"git_sha\": \"${git_sha}\","
   echo "  \"trace_enabled\": ${trace_enabled},"
   echo "  \"figures\": {"

@@ -70,17 +70,6 @@ echo "==> designs smoke: every L1 design fingerprint-stable, all distinct, figur
 SEESAW_TRACE="$trace_dir" ./target/release/designs 60000
 ./target/release/seesaw-status --check-prom "$trace_dir/designs.prom"
 
-echo "==> fabric smoke (2 worker processes): distributed sweep over a shared store"
-fabric_store="$(mktemp -d)"
-trap 'rm -rf "$repro_dir" "$status_dir" "$trace_dir" "$fabric_store"' EXIT
-SEESAW_STATUS="$status_dir" SEESAW_TRACE="$trace_dir" \
-  ./target/release/seesaw-submit partitions 60000 --store "$fabric_store" --workers 2
-./target/release/seesaw-status "$status_dir" --assert-done
-./target/release/seesaw-status --check-prom "$trace_dir/submit-partitions.prom"
-for worker_prom in "$trace_dir"/worker-*.prom; do
-  ./target/release/seesaw-status --check-prom "$worker_prom"
-done
-
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -135,7 +135,16 @@ fn corrupt_store_records_are_skipped_and_resimulated() {
 
     // Truncate the record mid-payload: a fresh handle must treat it as
     // absent (counted corrupt), never panic, and a rewrite repairs it.
-    let rec = dir.join(format!("r-{}.rec", digest(&fingerprint(&cfg))));
+    // The store holds exactly one result record: this cell's.
+    let rec = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("r-"))
+        })
+        .expect("the sweep committed its cell");
     let bytes = std::fs::read(&rec).unwrap();
     std::fs::write(&rec, &bytes[..bytes.len() / 3]).unwrap();
 
